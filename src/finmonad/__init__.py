@@ -29,7 +29,6 @@ from .powerset import (
     MU,
     NatTransform,
     POWERSET,
-    POWERSET_CUBED,
     POWERSET_SQUARED,
     PowersetTooLargeError,
     check_associativity,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TextIO
 
 from .containers import (
     F1,
@@ -30,7 +31,7 @@ from .containers import (
     safe_head,
 )
 from .laws import run_suite
-from .powerset import ETA, MU, check_associativity, check_unit_laws, naturality_sweep
+from .powerset import ETA, MU, POWERSET_CAP, check_associativity, check_unit_laws, naturality_sweep
 from .finset import make_finite_set
 from .render import show
 
@@ -116,12 +117,12 @@ def maybe_demo_lines() -> list[str]:
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _emit(lines: list[str], report_path: str | None = None) -> None:
+def _emit(lines: list[str], report: TextIO | None = None) -> None:
     for line in lines:
         print(line)
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    if report:
+        with report:
+            report.write("\n".join(lines) + "\n")
 
 
 def _run_pythagoras(args) -> int:
@@ -220,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_run_laws)
 
     p = sub.add_parser("powerset-check", help="powerset monad coherence and naturality reports")
-    p.add_argument("--max-size", type=int, default=3, help="largest carrier size to check")
+    # the unit laws at size K build P(P(X)), whose carrier P(X) has 2^K elements
+    p.add_argument("--max-size", type=int, default=3, choices=range(POWERSET_CAP.bit_length()),
+                   metavar="K", help="largest carrier size to check")
     p.add_argument("--seed", type=int, default=42, help="seed for sampled associativity")
     p.add_argument("--samples", type=int, default=10_000, help="sample count past the exhaustive sizes")
     p.add_argument("--report", metavar="PATH", help="also save the report lines to a file")
@@ -234,8 +237,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "pythagoras" and args.n < 1:
         parser.error("--n must be at least 1")
-    if args.command == "powerset-check" and args.max_size < 0:
-        parser.error("--max-size must be non-negative")
+    if args.command == "powerset-check" and args.samples < 1:
+        parser.error("--samples must be at least 1")
+    if getattr(args, "report", None):
+        # opened before the checks run, so a bad path fails before any work
+        try:
+            args.report = open(args.report, "w", encoding="utf-8")
+        except OSError as exc:
+            parser.exit(2, f"finmonad: error: cannot write report {args.report}: {exc.strerror}\n")
     return args.func(args)
 
 

@@ -113,10 +113,6 @@ class ContainerInstance:
     def bind(self, m, k):
         return self.join(self.map(k, m))
 
-    @property
-    def has_bind(self) -> bool:
-        return self.has_join
-
     def __repr__(self):
         return f"<instance {self.name}>"
 

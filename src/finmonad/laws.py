@@ -29,7 +29,7 @@ from .containers import (
     WRAP,
     Wrap,
 )
-from .reports import Counterexample, LawReport
+from .reports import LawReport, sweep
 
 
 @dataclass(frozen=True)
@@ -192,44 +192,30 @@ def random_generators(instance: ContainerInstance, *, seed: int = 0, size: int =
 # the checks
 # ---------------------------------------------------------------------------
 
-def _sweep(law, instance, cases) -> LawReport:
-    """Run (lhs, rhs, counterexample-factory) cases; keep the first failure."""
-    checked = 0
-    witness = None
-    for lhs, rhs, make_witness in cases:
-        checked += 1
-        if lhs != rhs and witness is None:
-            witness = make_witness(lhs, rhs)
-    return LawReport(law, instance.name, checked, witness)
-
-
 def check_functor_laws(instance: ContainerInstance, gen: Generators) -> list[LawReport]:
     """The two functor axioms: map(id) is the identity, and mapping a
     composite equals mapping in stages."""
 
     def identity_cases():
         for m in gen.values:
-            lhs = instance.map(IDENTITY, m)
-            yield lhs, m, lambda lhs, rhs, m=m: Counterexample(
-                value=m, lhs=lhs, rhs=rhs,
-                replay=lambda: (instance.map(IDENTITY, m), m),
-            )
+            yield m, (), lambda m=m: (instance.map(IDENTITY, m), m)
 
     def composition_cases():
+        pairs = []
+        for f in gen.functions:
+            for g in gen.functions:
+                composed = LabeledFunction(f"{f.label}∘{g.label}", lambda x, f=f, g=g: f(g(x)))
+                pairs.append(((f.label, g.label), f, g, composed))
         for m in gen.values:
-            for f in gen.functions:
-                for g in gen.functions:
-                    composed = LabeledFunction(f"{f.label}∘{g.label}", lambda x, f=f, g=g: f(g(x)))
-                    lhs = instance.map(composed, m)
-                    rhs = instance.map(f, instance.map(g, m))
-                    yield lhs, rhs, lambda lhs, rhs, m=m, f=f, g=g, c=composed: Counterexample(
-                        value=m, lhs=lhs, rhs=rhs, labels=(f.label, g.label),
-                        replay=lambda: (instance.map(c, m), instance.map(f, instance.map(g, m))),
-                    )
+            for labels, f, g, composed in pairs:
+                yield m, labels, lambda m=m, f=f, g=g, c=composed: (
+                    instance.map(c, m),
+                    instance.map(f, instance.map(g, m)),
+                )
 
     return [
-        _sweep("functor-identity", instance, identity_cases()),
-        _sweep("functor-composition", instance, composition_cases()),
+        sweep("functor-identity", instance.name, identity_cases()),
+        sweep("functor-composition", instance.name, composition_cases()),
     ]
 
 
@@ -240,39 +226,25 @@ def check_monad_laws(instance: ContainerInstance, gen: Generators) -> list[LawRe
     def left_identity_cases():
         for x in gen.elements:
             for k in gen.kleisli:
-                lhs = instance.bind(instance.unit(x), k)
-                rhs = k(x)
-                yield lhs, rhs, lambda lhs, rhs, x=x, k=k: Counterexample(
-                    value=x, lhs=lhs, rhs=rhs, labels=(k.label,),
-                    replay=lambda: (instance.bind(instance.unit(x), k), k(x)),
-                )
+                yield x, (k.label,), lambda x=x, k=k: (instance.bind(instance.unit(x), k), k(x))
 
     def right_identity_cases():
         for m in gen.values:
-            lhs = instance.bind(m, instance.unit)
-            yield lhs, m, lambda lhs, rhs, m=m: Counterexample(
-                value=m, lhs=lhs, rhs=rhs, labels=("unit",),
-                replay=lambda: (instance.bind(m, instance.unit), m),
-            )
+            yield m, ("unit",), lambda m=m: (instance.bind(m, instance.unit), m)
 
     def associativity_cases():
+        pairs = [((k.label, h.label), k, h) for k in gen.kleisli for h in gen.kleisli]
         for m in gen.values:
-            for k in gen.kleisli:
-                for h in gen.kleisli:
-                    lhs = instance.bind(instance.bind(m, k), h)
-                    rhs = instance.bind(m, lambda x, k=k, h=h: instance.bind(k(x), h))
-                    yield lhs, rhs, lambda lhs, rhs, m=m, k=k, h=h: Counterexample(
-                        value=m, lhs=lhs, rhs=rhs, labels=(k.label, h.label),
-                        replay=lambda: (
-                            instance.bind(instance.bind(m, k), h),
-                            instance.bind(m, lambda x: instance.bind(k(x), h)),
-                        ),
-                    )
+            for labels, k, h in pairs:
+                yield m, labels, lambda m=m, k=k, h=h: (
+                    instance.bind(instance.bind(m, k), h),
+                    instance.bind(m, lambda x: instance.bind(k(x), h)),
+                )
 
     return [
-        _sweep("monad-left-identity", instance, left_identity_cases()),
-        _sweep("monad-right-identity", instance, right_identity_cases()),
-        _sweep("monad-associativity", instance, associativity_cases()),
+        sweep("monad-left-identity", instance.name, left_identity_cases()),
+        sweep("monad-right-identity", instance.name, right_identity_cases()),
+        sweep("monad-associativity", instance.name, associativity_cases()),
     ]
 
 
@@ -282,14 +254,12 @@ def check_bind_join_coherence(instance: ContainerInstance, gen: Generators) -> L
     def cases():
         for m in gen.values:
             for k in gen.kleisli:
-                lhs = instance.bind(m, k)
-                rhs = instance.join(instance.map(k, m))
-                yield lhs, rhs, lambda lhs, rhs, m=m, k=k: Counterexample(
-                    value=m, lhs=lhs, rhs=rhs, labels=(k.label,),
-                    replay=lambda: (instance.bind(m, k), instance.join(instance.map(k, m))),
+                yield m, (k.label,), lambda m=m, k=k: (
+                    instance.bind(m, k),
+                    instance.join(instance.map(k, m)),
                 )
 
-    return _sweep("bind-join-coherence", instance, cases())
+    return sweep("bind-join-coherence", instance.name, cases())
 
 
 def run_suite(instance: ContainerInstance, gen: Generators | None = None) -> list[LawReport]:
@@ -297,7 +267,7 @@ def run_suite(instance: ContainerInstance, gen: Generators | None = None) -> lis
     if gen is None:
         gen = default_generators(instance)
     reports = check_functor_laws(instance, gen)
-    if instance.has_unit and instance.has_bind:
+    if instance.has_unit and instance.has_join:
         reports += check_monad_laws(instance, gen)
     if instance.has_join:
         reports.append(check_bind_join_coherence(instance, gen))

@@ -33,9 +33,9 @@ from .finset import (
     make_finite_set,
 )
 from .render import show
-from .reports import Counterexample, LawReport
+from .reports import Counterexample, LawReport, sweep
 
-DEFAULT_POWERSET_CAP = 16
+POWERSET_CAP = 16
 
 
 class PowersetTooLargeError(FinsetError):
@@ -47,10 +47,11 @@ class PowersetTooLargeError(FinsetError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _powerset(space: FiniteSet, cap: int) -> FiniteSet:
+def powerset_object(space: FiniteSet) -> FiniteSet:
+    """P(space): the set of all 2^|space| subsets, canonically ordered."""
     n = len(space)
-    if n > cap:
-        raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {cap}")
+    if n > POWERSET_CAP:
+        raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {POWERSET_CAP}")
     elements = space.elements
     subsets = []
     for mask in range(1 << n):
@@ -65,15 +66,11 @@ def _subset_index(power: FiniteSet) -> dict:
     return {s.member_set: s for s in power}
 
 
-def powerset_object(space: FiniteSet, cap: int = DEFAULT_POWERSET_CAP) -> FiniteSet:
-    """P(space): the set of all 2^|space| subsets, canonically ordered."""
-    return _powerset(space, cap)
-
-
 @lru_cache(maxsize=128)
-def _powerset_arrow(f: FiniteFunction, cap: int) -> FiniteFunction:
-    dom_p = _powerset(f.domain, cap)
-    cod_p = _powerset(f.codomain, cap)
+def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
+    """P(f): sends each subset of f's domain to its image under f."""
+    dom_p = powerset_object(f.domain)
+    cod_p = powerset_object(f.codomain)
     index = _subset_index(cod_p)
     table = f.table
     pairs = tuple(
@@ -83,33 +80,24 @@ def _powerset_arrow(f: FiniteFunction, cap: int) -> FiniteFunction:
     return FiniteFunction(dom_p, cod_p, pairs)
 
 
-def powerset_arrow(f: FiniteFunction, cap: int = DEFAULT_POWERSET_CAP) -> FiniteFunction:
-    """P(f): sends each subset of f's domain to its image under f."""
-    return _powerset_arrow(f, cap)
-
-
-def eta_component(space: FiniteSet, cap: int = DEFAULT_POWERSET_CAP) -> FiniteFunction:
+def eta_component(space: FiniteSet) -> FiniteFunction:
     """The unit at `space`: x maps to the singleton subset {x}."""
-    power = powerset_object(space, cap)
+    power = powerset_object(space)
     index = _subset_index(power)
     return FiniteFunction(space, power, tuple((x, index[frozenset((x,))]) for x in space))
 
 
 @lru_cache(maxsize=64)
-def _mu_component(space: FiniteSet, cap: int) -> FiniteFunction:
-    power = _powerset(space, cap)
-    power2 = _powerset(power, cap)
+def mu_component(space: FiniteSet) -> FiniteFunction:
+    """The multiplication at `space`: a family of subsets maps to its union."""
+    power = powerset_object(space)
+    power2 = powerset_object(power)
     index = _subset_index(power)
     pairs = tuple(
         (family, index[frozenset().union(*(g.member_set for g in family.members))])
         for family in power2
     )
     return FiniteFunction(power2, power, pairs)
-
-
-def mu_component(space: FiniteSet, cap: int = DEFAULT_POWERSET_CAP) -> FiniteFunction:
-    """The multiplication at `space`: a family of subsets maps to its union."""
-    return _mu_component(space, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -124,21 +112,20 @@ class Endofunctor:
     name: str
     depth: int
 
-    def on_object(self, space: FiniteSet, cap: int = DEFAULT_POWERSET_CAP) -> FiniteSet:
+    def on_object(self, space: FiniteSet) -> FiniteSet:
         for _ in range(self.depth):
-            space = powerset_object(space, cap)
+            space = powerset_object(space)
         return space
 
-    def on_arrow(self, f: FiniteFunction, cap: int = DEFAULT_POWERSET_CAP) -> FiniteFunction:
+    def on_arrow(self, f: FiniteFunction) -> FiniteFunction:
         for _ in range(self.depth):
-            f = powerset_arrow(f, cap)
+            f = powerset_arrow(f)
         return f
 
 
 IDENTITY_FUNCTOR = Endofunctor("Id", 0)
 POWERSET = Endofunctor("P", 1)
 POWERSET_SQUARED = Endofunctor("P^2", 2)
-POWERSET_CUBED = Endofunctor("P^3", 3)
 
 
 @dataclass(frozen=True)
@@ -169,21 +156,16 @@ MU = NatTransform("mu", POWERSET_SQUARED, POWERSET, mu_component)
 # checkers
 # ---------------------------------------------------------------------------
 
-def _compare_pointwise(law, subject, left, right, labels=()) -> LawReport:
-    """Compare two parallel arrows over their whole domain; report the first
-    disagreement as a replayable counterexample."""
-    witness = None
-    for x in left.domain:
-        lv, rv = apply(left, x), apply(right, x)
-        if lv != rv and witness is None:
-            witness = Counterexample(
-                value=x,
-                lhs=lv,
-                rhs=rv,
-                labels=labels,
-                replay=lambda x=x: (apply(left, x), apply(right, x)),
-            )
-    return LawReport(law, subject, len(left.domain), witness)
+def _pointwise_cases(left, right, labels=()):
+    """Cases for `sweep` comparing two parallel arrows at every element of
+    their shared domain."""
+    return ((x, labels, lambda x=x: (apply(left, x), apply(right, x))) for x in left.domain)
+
+
+def _naturality_cases(transform: NatTransform, f: FiniteFunction):
+    left = compose(transform.target.on_arrow(f), transform.component(f.domain))
+    right = compose(transform.component(f.codomain), transform.source.on_arrow(f))
+    return _pointwise_cases(left, right)
 
 
 def check_naturality(transform: NatTransform, f: FiniteFunction) -> LawReport:
@@ -192,34 +174,20 @@ def check_naturality(transform: NatTransform, f: FiniteFunction) -> LawReport:
     Concretely: target(f) ∘ component(dom f) must equal
     component(cod f) ∘ source(f), table entry by table entry.
     """
-    left = compose(transform.target.on_arrow(f), transform.component(f.domain))
-    right = compose(transform.component(f.codomain), transform.source.on_arrow(f))
-    return _compare_pointwise(f"naturality[{transform.name}]", show(f), left, right)
+    return sweep(f"naturality[{transform.name}]", show(f), _naturality_cases(transform, f))
 
 
 def naturality_sweep(transform: NatTransform, max_size: int) -> list[LawReport]:
     """Check naturality against every arrow between integer carriers of each
     size up to `max_size`, one aggregated report per ordered size pair."""
+    law = f"naturality[{transform.name}]"
     reports = []
     for a in range(max_size + 1):
         for b in range(max_size + 1):
             dom = make_finite_set(range(1, a + 1))
             cod = make_finite_set(range(1, b + 1))
-            checked = 0
-            witness = None
-            for f in enumerate_functions(dom, cod):
-                report = check_naturality(transform, f)
-                checked += report.checked
-                if witness is None and report.counterexample is not None:
-                    witness = report.counterexample
-            reports.append(
-                LawReport(
-                    f"naturality[{transform.name}]",
-                    f"{show(dom)}->{show(cod)}",
-                    checked,
-                    witness,
-                )
-            )
+            cases = (case for f in enumerate_functions(dom, cod) for case in _naturality_cases(transform, f))
+            reports.append(sweep(law, f"{show(dom)}->{show(cod)}", cases))
     return reports
 
 
@@ -241,23 +209,15 @@ def check_unit_laws(
     power = powerset_object(space)
     mu_x = mu.component(space)
     ident = identity(power)
-
-    first = compose(mu_x, eta.component(power))
-    second = compose(mu_x, powerset_arrow(eta.component(space)))
-
+    law, subject = "monad-unit[exhaustive]", show(space)
     witness = None
-    for composite, label in ((first, "mu∘eta_P"), (second, "mu∘P(eta)")):
-        for a in composite.domain:
-            lv, rv = apply(composite, a), apply(ident, a)
-            if lv != rv and witness is None:
-                witness = Counterexample(
-                    value=a,
-                    lhs=lv,
-                    rhs=rv,
-                    labels=(label,),
-                    replay=lambda a=a, c=composite: (apply(c, a), apply(ident, a)),
-                )
-    return LawReport("monad-unit[exhaustive]", show(space), len(mu_x.domain), witness)
+    for eta_at, label in (
+        (eta.component(power), "mu∘eta_P"),
+        (powerset_arrow(eta.component(space)), "mu∘P(eta)"),
+    ):
+        triangle = sweep(law, subject, _pointwise_cases(compose(mu_x, eta_at), ident, (label,)))
+        witness = witness or triangle.counterexample
+    return LawReport(law, subject, len(mu_x.domain), witness)
 
 
 def check_associativity(
@@ -288,12 +248,10 @@ def check_associativity(
     if mode == "exhaustive":
         left = compose(mu_x, mu.component(power))
         right = compose(mu_x, powerset_arrow(mu_x))
-        return _compare_pointwise(
+        return sweep(
             "monad-associativity[exhaustive]",
             subject,
-            left,
-            right,
-            labels=("mu∘mu_P", "mu∘P(mu)"),
+            _pointwise_cases(left, right, ("mu∘mu_P", "mu∘P(mu)")),
         )
 
     # Sampled mode: P^3 is unenumerable here, so the outer multiplication and

@@ -14,9 +14,11 @@ Line format, shared by every checker in the library::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .render import show
+
+Case = tuple[Any, tuple[str, ...], Callable[[], tuple[Any, Any]]]
 
 
 @dataclass(frozen=True)
@@ -61,3 +63,18 @@ class LawReport:
             f"FAIL {self.law} @ {self.subject} "
             f"witness={witness} lhs={show(cx.lhs)} rhs={show(cx.rhs)}"
         )
+
+
+def sweep(law: str, subject: str, cases: Iterable[Case]) -> LawReport:
+    """Check each `(value, labels, sides)` case, where `sides()` returns the
+    law's two sides at `value`. Every `sides()` runs exactly once; `checked`
+    counts the cases, and the first failing case becomes the counterexample
+    with its own `sides` as the replay."""
+    checked = 0
+    witness = None
+    for value, labels, sides in cases:
+        checked += 1
+        lhs, rhs = sides()
+        if lhs != rhs and witness is None:
+            witness = Counterexample(value, lhs, rhs, labels, sides)
+    return LawReport(law, subject, checked, witness)

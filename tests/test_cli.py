@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import pytest
+
 from conftest import assert_transcript, load_golden
+from finmonad.cli import main as cli_main
 
 
 # ---------------------------------------------------------------------------
@@ -138,3 +141,23 @@ def test_missing_required_flag_is_usage_error(run_cli):
 def test_out_of_range_n_is_usage_error(run_cli):
     code, _ = run_cli("pythagoras", "--n", "0")
     assert code == 2
+
+
+def test_max_size_past_the_powerset_cap_is_usage_error(run_cli):
+    # at size 5 the unit laws would need P(P(X)) over a 32-element carrier
+    assert run_cli("powerset-check", "--max-size", "5", "--samples", "1") == (2, "")
+    assert run_cli("powerset-check", "--max-size", "-1") == (2, "")
+
+
+def test_samples_below_one_is_usage_error(run_cli):
+    assert run_cli("powerset-check", "--max-size", "0", "--samples", "0") == (2, "")
+
+
+def test_unwritable_report_path_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["laws", "--instance", "list", "--report", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and str(path) in err

@@ -68,8 +68,6 @@ def test_powerset_sizes_double_per_element():
 def test_powerset_cap():
     with pytest.raises(PowersetTooLargeError):
         powerset_object(make_finite_set(range(17)))
-    with pytest.raises(PowersetTooLargeError):
-        powerset_object(make_finite_set(range(3)), cap=2)
 
 
 def test_subset_carrier_membership_validated():
@@ -268,6 +266,33 @@ def test_corrupted_multiplication_fails_unit_laws():
     report = check_unit_laws(make_finite_set([1, 2]), mu=broken_mu)
     assert not report.passed
     assert report.counterexample.recheck()
+
+
+def test_corrupted_multiplication_fails_exhaustive_associativity():
+    space = make_finite_set([1, 2])
+    honest = mu_component(space)
+    power = powerset_object(space)
+    family = make_subset(power, [make_subset(space, [1]), make_subset(space, [1, 2])])
+    empty = make_subset(space, [])
+    corrupted = FiniteFunction(
+        honest.domain,
+        honest.codomain,
+        tuple((f, empty if f == family else s) for f, s in honest.pairs),
+    )
+    broken_mu = NatTransform(
+        "mu-corrupted", MU.source, MU.target,
+        lambda at: corrupted if at == space else mu_component(at),
+    )
+    # the unit triangles only consult mu on one-member families and on
+    # families of singletons, so only the square can see this defect
+    assert check_unit_laws(space, mu=broken_mu).passed
+    report = check_associativity(space, mu=broken_mu)
+    assert not report.passed
+    assert report.law == "monad-associativity[exhaustive]"
+    cx = report.counterexample
+    assert cx.labels == ("mu∘mu_P", "mu∘P(mu)")
+    assert cx.lhs != cx.rhs
+    assert cx.recheck()
 
 
 def test_report_lines_follow_the_grammar():
