@@ -13,7 +13,6 @@ from .finset import (
     FinsetError,
     MissingMappingError,
     NotInDomainError,
-    Subset,
     apply,
     compose,
     enumerate_functions,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from .containers import (
     F1,
@@ -34,6 +34,7 @@ from .laws import run_suite
 from .powerset import ETA, MU, POWERSET_CAP, check_associativity, check_unit_laws, naturality_sweep
 from .finset import make_finite_set
 from .render import show
+from .reports import LawReport
 
 _BANNER_TOP = "Program begins."
 _BANNER_BOTTOM = "Program ends."
@@ -117,12 +118,28 @@ def maybe_demo_lines() -> list[str]:
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _emit(lines: list[str], report: TextIO | None = None) -> None:
+def _emit(lines: list[str]) -> None:
     for line in lines:
         print(line)
-    if report:
-        with report:
-            report.write("\n".join(lines) + "\n")
+
+
+def _emit_reports(reports: Iterable[LawReport], report: TextIO | None) -> list[LawReport]:
+    """Print each report's line, flushed, as soon as the report is produced,
+    and copy it to `report`, so a long or crashing run still shows every
+    finished check. Returns the failed reports."""
+    failures = []
+    try:
+        for r in reports:
+            line = r.to_line()
+            print(line, flush=True)
+            if report:
+                print(line, file=report, flush=True)
+            if not r.passed:
+                failures.append(r)
+    finally:
+        if report:
+            report.close()
+    return failures
 
 
 def _run_pythagoras(args) -> int:
@@ -165,26 +182,22 @@ def _is_known_shape_failure(failures) -> bool:
 
 def _run_laws(args) -> int:
     names = list(INSTANCES) if args.instance == "all" else [args.instance]
-    reports = []
-    for name in names:
-        reports += run_suite(INSTANCES[name])
-    _emit([r.to_line() for r in reports], args.report)
-    failures = [r for r in reports if not r.passed]
+    failures = _emit_reports((r for name in names for r in run_suite(INSTANCES[name])), args.report)
     if args.expect_fail:
         return 0 if _is_known_shape_failure(failures) else 1
     return 1 if failures else 0
 
 
 def _run_powerset_check(args) -> int:
-    reports = []
-    for size in range(args.max_size + 1):
-        space = make_finite_set(range(1, size + 1))
-        reports.append(check_unit_laws(space))
-        reports.append(check_associativity(space, samples=args.samples, seed=args.seed))
-    reports += naturality_sweep(ETA, min(args.max_size, 3))
-    reports += naturality_sweep(MU, min(args.max_size, 2))
-    _emit([r.to_line() for r in reports], args.report)
-    return 1 if any(not r.passed for r in reports) else 0
+    def reports():
+        for size in range(args.max_size + 1):
+            space = make_finite_set(range(1, size + 1))
+            yield check_unit_laws(space)
+            yield check_associativity(space, samples=args.samples, seed=args.seed)
+        yield from naturality_sweep(ETA, min(args.max_size, 3))
+        yield from naturality_sweep(MU, min(args.max_size, 2))
+
+    return 1 if _emit_reports(reports(), args.report) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

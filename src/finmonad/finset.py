@@ -16,14 +16,14 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
-Atom = Any  # ints, bools, strings, or Subset values nested recursively
+Atom = Any  # ints, bools, strings, or FiniteSet values nested recursively
 
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 # Kind tags give mixed-type element universes a single total order.
 _KIND_INT = 0
 _KIND_STR = 1
-_KIND_SUBSET = 2
+_KIND_SET = 2
 
 
 class FinsetError(Exception):
@@ -65,7 +65,7 @@ def atom_key(atom: Atom):
         return (_KIND_INT, atom)
     if isinstance(atom, str):
         return (_KIND_STR, atom)
-    if isinstance(atom, Subset):
+    if isinstance(atom, FiniteSet):
         return atom.sort_key
     raise TypeError(f"not an admissible atom: {atom!r}")
 
@@ -73,19 +73,29 @@ def atom_key(atom: Atom):
 class FiniteSet:
     """An immutable collection of distinct atoms in canonical sorted order.
 
-    Two sets built from any permutations of the same atoms compare equal and
-    have identical element tuples, so downstream diagram checks reduce to
-    structural equality.
+    A subset of X is the FiniteSet of its members, itself usable as an atom,
+    so P(X), P(P(X)) and P(P(P(X))) are FiniteSets whose elements are
+    FiniteSets over the next space down. Sets built from any permutations of
+    the same atoms compare equal and have identical element tuples, so
+    downstream diagram checks reduce to structural equality.
+
+    The constructor trusts its input: `elements` must be a tuple of distinct
+    atoms in canonical order. Use `make_finite_set` or `make_subset` to
+    canonicalize.
     """
 
-    __slots__ = ("elements", "_members", "_hash")
+    __slots__ = ("elements", "member_set", "sort_key", "_hash")
 
-    def __init__(self, atoms: Iterable[Atom] = ()):
-        unique = list(dict.fromkeys(atoms))
-        unique.sort(key=atom_key)
-        self.elements: tuple[Atom, ...] = tuple(unique)
-        self._members = frozenset(self.elements)
-        self._hash = hash(self.elements)
+    def __init__(self, elements: tuple[Atom, ...] = ()):
+        self.elements = elements
+        self.member_set = frozenset(elements)
+        self.sort_key = (_KIND_SET, tuple(atom_key(m) for m in elements))
+        self._hash = hash(elements)
+
+    @property
+    def members(self) -> tuple[Atom, ...]:
+        """The elements, under the name a subset's members go by."""
+        return self.elements
 
     def __iter__(self) -> Iterator[Atom]:
         return iter(self.elements)
@@ -94,7 +104,7 @@ class FiniteSet:
         return len(self.elements)
 
     def __contains__(self, atom: Atom) -> bool:
-        return atom in self._members
+        return atom in self.member_set
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -113,65 +123,21 @@ class FiniteSet:
 
 
 def make_finite_set(atoms: Iterable[Atom] = ()) -> FiniteSet:
-    """Build a canonical FiniteSet from any iterable of atoms."""
-    return FiniteSet(atoms)
+    """Build a canonical FiniteSet from any iterable of atoms: the one place
+    where duplicates are dropped and atoms sorted."""
+    unique = list(dict.fromkeys(atoms))
+    unique.sort(key=atom_key)
+    return FiniteSet(tuple(unique))
 
 
-class Subset:
-    """A subset of a fixed carrier set, itself usable as a set element.
-
-    Nesting subsets is what lets P(X), P(P(X)) and P(P(P(X))) be ordinary
-    FiniteSets: their elements are Subset atoms over the next space down.
-    The constructor trusts its input; use `make_subset` for validated,
-    canonicalizing construction.
-    """
-
-    __slots__ = ("carrier", "members", "member_set", "sort_key", "_hash")
-
-    def __init__(self, carrier: FiniteSet, members: tuple[Atom, ...]):
-        self.carrier = carrier
-        self.members = members
-        self.member_set = frozenset(members)
-        self.sort_key = (_KIND_SUBSET, tuple(atom_key(m) for m in members))
-        self._hash = hash(self.sort_key)
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self.member_set
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Subset):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.members == other.members
-            and self.carrier == other.carrier
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        if len(self.members) <= 8:
-            return f"Subset({{{', '.join(map(repr, self.members))}}})"
-        return f"Subset(<{len(self.members)} atoms>)"
-
-
-def make_subset(carrier: FiniteSet, members: Iterable[Atom]) -> Subset:
-    """Validated Subset constructor: dedupes, sorts, and checks membership."""
-    unique = list(dict.fromkeys(members))
-    for atom in unique:
+def make_subset(carrier: FiniteSet, members: Iterable[Atom]) -> FiniteSet:
+    """The subset of `carrier` with the given members, canonicalized; raises
+    NotInDomainError for a member outside the carrier."""
+    members = tuple(members)
+    for atom in members:
         if atom not in carrier:
             raise NotInDomainError(f"{atom!r} is not in the carrier {carrier!r}")
-    unique.sort(key=atom_key)
-    return Subset(carrier, tuple(unique))
+    return make_finite_set(members)
 
 
 class FiniteFunction:

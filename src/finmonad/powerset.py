@@ -25,7 +25,6 @@ from .finset import (
     FiniteFunction,
     FiniteSet,
     FinsetError,
-    Subset,
     apply,
     compose,
     enumerate_functions,
@@ -56,8 +55,8 @@ def powerset_object(space: FiniteSet) -> FiniteSet:
     subsets = []
     for mask in range(1 << n):
         members = tuple(elements[i] for i in range(n) if mask >> i & 1)
-        subsets.append(Subset(space, members))
-    return FiniteSet(subsets)
+        subsets.append(FiniteSet(members))
+    return make_finite_set(subsets)
 
 
 @lru_cache(maxsize=64)
@@ -74,7 +73,7 @@ def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
     index = _subset_index(cod_p)
     table = f.table
     pairs = tuple(
-        (subset, index[frozenset(table[x] for x in subset.members)])
+        (subset, index[frozenset(table[x] for x in subset.elements)])
         for subset in dom_p
     )
     return FiniteFunction(dom_p, cod_p, pairs)
@@ -94,7 +93,7 @@ def mu_component(space: FiniteSet) -> FiniteFunction:
     power2 = powerset_object(power)
     index = _subset_index(power)
     pairs = tuple(
-        (family, index[frozenset().union(*(g.member_set for g in family.members))])
+        (family, index[frozenset().union(*(g.member_set for g in family.elements))])
         for family in power2
     )
     return FiniteFunction(power2, power, pairs)
@@ -277,7 +276,7 @@ def check_associativity(
         lhs, rhs = both_sides(members)
         if lhs != rhs and witness is None:
             witness = Counterexample(
-                value=Subset(power2, tuple(sorted(members, key=lambda s: s.sort_key))),
+                value=make_finite_set(members),
                 lhs=lhs,
                 rhs=rhs,
                 labels=("mu∘mu_P", "mu∘P(mu)"),

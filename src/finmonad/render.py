@@ -16,7 +16,7 @@ the demo transcripts.
 from __future__ import annotations
 
 from .containers import F1, F2, F3, F4, Just, NOTHING, Wrap
-from .finset import FiniteFunction, FiniteSet, Subset
+from .finset import FiniteFunction, FiniteSet
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
 
@@ -59,7 +59,7 @@ def show(value) -> str:
         return f"F3 {show(tuple(value.pair))}"
     if isinstance(value, F4):
         return f"F4 {_argument(value.value)}"
-    if isinstance(value, (FiniteSet, Subset)):
+    if isinstance(value, FiniteSet):
         return "{" + ",".join(show(v) for v in value) + "}"
     if isinstance(value, FiniteFunction):
         return "{" + ",".join(f"{show(x)}->{show(y)}" for x, y in value.pairs) + "}"

@@ -28,13 +28,11 @@ class Counterexample:
     value: Any
     lhs: Any
     rhs: Any
-    labels: tuple[str, ...] = ()
-    replay: Callable[[], tuple[Any, Any]] | None = None
+    labels: tuple[str, ...]
+    replay: Callable[[], tuple[Any, Any]]
 
     def recheck(self) -> bool:
         """Re-evaluate both sides; True when the disagreement reproduces."""
-        if self.replay is None:
-            return self.lhs != self.rhs
         lhs, rhs = self.replay()
         return lhs == self.lhs and rhs == self.rhs and lhs != rhs
 

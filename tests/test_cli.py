@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import assert_transcript, load_golden
+from finmonad import cli
 from finmonad.cli import main as cli_main
 
 
@@ -117,6 +118,27 @@ def test_powerset_check_transcript_is_pinned(run_cli):
     code, out = run_cli("powerset-check", "--max-size", "1")
     assert code == 0
     assert out == load_golden("powerset_check_size1.txt")
+
+
+def test_powerset_check_streams_lines_before_a_crash(monkeypatch, capsys, tmp_path):
+    real = cli.check_associativity
+
+    def crash_at_size_one(space, **kwargs):
+        if len(space) == 1:
+            raise RuntimeError("crash at size 1")
+        return real(space, **kwargs)
+
+    monkeypatch.setattr(cli, "check_associativity", crash_at_size_one)
+    path = tmp_path / "report.txt"
+    with pytest.raises(RuntimeError):
+        cli_main(["powerset-check", "--max-size", "1", "--report", str(path)])
+    size0 = (
+        "PASS monad-unit[exhaustive] @ {} checked=2\n"
+        "PASS monad-associativity[exhaustive] @ {} checked=4\n"
+    )
+    out = capsys.readouterr().out
+    assert out.startswith(size0)
+    assert path.read_text(encoding="utf-8") == out
 
 
 # ---------------------------------------------------------------------------

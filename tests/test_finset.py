@@ -12,6 +12,7 @@ from finmonad.finset import (
     DuplicateKeyError,
     EnumerationTooLargeError,
     FiniteFunction,
+    FiniteSet,
     MissingMappingError,
     NotInDomainError,
     apply,
@@ -20,6 +21,7 @@ from finmonad.finset import (
     identity,
     make_finite_set,
     make_function,
+    make_subset,
 )
 
 EVEN = "This is an even Number"
@@ -212,3 +214,27 @@ def test_sets_have_no_duplicates(xs):
     assert len(s.elements) == len(set(s.elements))
     for x in xs:
         assert x in s
+
+
+# ---------------------------------------------------------------------------
+# subsets are finite sets
+# ---------------------------------------------------------------------------
+
+def test_a_subset_is_the_finite_set_of_its_members():
+    a = make_subset(make_finite_set([1, 2, 3]), [2, 1])
+    b = make_subset(make_finite_set([1, 2]), [1, 2])
+    c = make_finite_set([1, 2])
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+
+
+def test_mixed_atoms_sort_ints_then_strings_then_sets():
+    empty, two = make_finite_set(), make_finite_set([2])
+    mixed = make_finite_set([two, "a", 3, empty, 1])
+    assert mixed.elements == (1, 3, "a", empty, two)
+
+
+def test_constructor_trusts_its_input_and_make_finite_set_canonicalizes():
+    atoms = (2, 1, 2)
+    assert FiniteSet(atoms).elements is atoms
+    assert make_finite_set(atoms).elements == (1, 2)

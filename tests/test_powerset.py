@@ -6,7 +6,6 @@ import pytest
 
 from finmonad.finset import (
     FiniteFunction,
-    Subset,
     apply,
     compose,
     enumerate_functions,
@@ -306,6 +305,28 @@ def test_report_lines_follow_the_grammar():
     line = failing.to_line()
     assert line.startswith("FAIL naturality[eta-corrupted] @ ")
     assert 'witness=16' in line and 'lhs={}' in line and 'rhs={"t"}' in line
+
+
+def test_sampled_associativity_witness_is_pinned():
+    space = make_finite_set([1, 2, 3])
+    honest = mu_component(space)
+    family = make_subset(powerset_object(space), [make_subset(space, [1]), make_subset(space, [1, 2])])
+    empty = make_subset(space, [])
+    corrupted = FiniteFunction(
+        honest.domain,
+        honest.codomain,
+        tuple((f, empty if f == family else s) for f, s in honest.pairs),
+    )
+    broken_mu = NatTransform(
+        "mu-corrupted", MU.source, MU.target,
+        lambda at: corrupted if at == space else mu_component(at),
+    )
+    report = check_associativity(space, samples=10_000, seed=42, mu=broken_mu)
+    assert report.to_line() == (
+        "FAIL monad-associativity[sampled,seed=42,n=10000] @ {1,2,3} "
+        "witness={{{},{1,3},{3}},{{1},{1,2}}} [mu∘mu_P,mu∘P(mu)] lhs={1,2,3} rhs={1,3}"
+    )
+    assert report.counterexample.recheck()
 
 
 # ---------------------------------------------------------------------------
