@@ -84,13 +84,28 @@ class FiniteSet:
     canonicalize.
     """
 
-    __slots__ = ("elements", "member_set", "sort_key", "_hash")
+    __slots__ = ("elements", "_member_set", "_sort_key", "_hash")
 
     def __init__(self, elements: tuple[Atom, ...] = ()):
         self.elements = elements
-        self.member_set = frozenset(elements)
-        self.sort_key = (_KIND_SET, tuple(atom_key(m) for m in elements))
+        self._member_set = None
+        self._sort_key = None
         self._hash = hash(elements)
+
+    @property
+    def member_set(self) -> frozenset:
+        """The elements as a frozenset, built on first use."""
+        if self._member_set is None:
+            self._member_set = frozenset(self.elements)
+        return self._member_set
+
+    @property
+    def sort_key(self) -> tuple:
+        """This set's `atom_key`, built on first use: most sets, such as the
+        elements of a large powerset, are never sorted as atoms."""
+        if self._sort_key is None:
+            self._sort_key = (_KIND_SET, tuple(atom_key(m) for m in self.elements))
+        return self._sort_key
 
     @property
     def members(self) -> tuple[Atom, ...]:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, partial, reduce
+from operator import or_
+from typing import Callable, NamedTuple
 
 from .finset import (
     FiniteFunction,
@@ -45,58 +46,72 @@ class PowersetTooLargeError(FinsetError):
 # the functor, unit, and multiplication
 # ---------------------------------------------------------------------------
 
+class _Encoding(NamedTuple):
+    """P(space), each subset also a bitmask over the positions of `space`, so
+    images and unions are ORs of ints; public functions see only the atoms."""
+
+    power: FiniteSet
+    mask: tuple[int, ...]  # mask[i] is the bitmask of power.elements[i]
+    at_mask: list[FiniteSet]  # at_mask[m] is the subset whose bitmask is m
+    position: dict  # each atom of space -> its index in space.elements
+
+
 @lru_cache(maxsize=64)
-def powerset_object(space: FiniteSet) -> FiniteSet:
-    """P(space): the set of all 2^|space| subsets, canonically ordered."""
+def _encoded(space: FiniteSet) -> _Encoding:
     n = len(space)
     if n > POWERSET_CAP:
         raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {POWERSET_CAP}")
     elements = space.elements
-    subsets = []
-    for mask in range(1 << n):
-        members = tuple(elements[i] for i in range(n) if mask >> i & 1)
-        subsets.append(FiniteSet(members))
-    return make_finite_set(subsets)
+    masks, at_mask = [], [None] * (1 << n)
+
+    # Canonical order is lexicographic on member tuples, which is the preorder
+    # of this walk: a subset comes before its extensions by later elements.
+    def walk(members: tuple, bits: int, start: int) -> None:
+        masks.append(bits)
+        at_mask[bits] = FiniteSet(members)
+        for i in range(start, n):
+            walk(members + (elements[i],), bits | 1 << i, i + 1)
+
+    walk((), 0, 0)
+    power = FiniteSet(tuple(at_mask[m] for m in masks))
+    return _Encoding(power, tuple(masks), at_mask, {x: i for i, x in enumerate(elements)})
 
 
-@lru_cache(maxsize=64)
-def _subset_index(power: FiniteSet) -> dict:
-    """Map each subset's frozen member set to its canonical atom in `power`."""
-    return {s.member_set: s for s in power}
+def _images(bits) -> list[int]:
+    """images[m] is the OR of bits[i] over the set bits i of m, for every m."""
+    images = [0]
+    for b in bits:
+        images += [m | b for m in images]
+    return images
+
+
+def powerset_object(space: FiniteSet) -> FiniteSet:
+    """P(space): the set of all 2^|space| subsets, canonically ordered."""
+    return _encoded(space).power
 
 
 @lru_cache(maxsize=128)
 def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
     """P(f): sends each subset of f's domain to its image under f."""
-    dom_p = powerset_object(f.domain)
-    cod_p = powerset_object(f.codomain)
-    index = _subset_index(cod_p)
-    table = f.table
-    pairs = tuple(
-        (subset, index[frozenset(table[x] for x in subset.elements)])
-        for subset in dom_p
-    )
-    return FiniteFunction(dom_p, cod_p, pairs)
+    dom, cod = _encoded(f.domain), _encoded(f.codomain)
+    image = _images([1 << cod.position[f.table[x]] for x in f.domain])
+    return FiniteFunction(dom.power, cod.power, zip(dom.power, [cod.at_mask[image[m]] for m in dom.mask]))
 
 
 def eta_component(space: FiniteSet) -> FiniteFunction:
     """The unit at `space`: x maps to the singleton subset {x}."""
-    power = powerset_object(space)
-    index = _subset_index(power)
-    return FiniteFunction(space, power, tuple((x, index[frozenset((x,))]) for x in space))
+    subsets = _encoded(space)
+    return FiniteFunction(space, subsets.power, ((x, subsets.at_mask[1 << i]) for i, x in enumerate(space)))
 
 
 @lru_cache(maxsize=64)
 def mu_component(space: FiniteSet) -> FiniteFunction:
     """The multiplication at `space`: a family of subsets maps to its union."""
-    power = powerset_object(space)
-    power2 = powerset_object(power)
-    index = _subset_index(power)
-    pairs = tuple(
-        (family, index[frozenset().union(*(g.member_set for g in family.elements))])
-        for family in power2
-    )
-    return FiniteFunction(power2, power, pairs)
+    subsets = _encoded(space)
+    families = _encoded(subsets.power)
+    union = _images(subsets.mask)
+    pairs = zip(families.power, [subsets.at_mask[union[m]] for m in families.mask])
+    return FiniteFunction(families.power, subsets.power, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -242,49 +257,44 @@ def check_associativity(
 
     power = powerset_object(space)
     mu_x = mu.component(space)
-    subject = show(space)
+    families = _encoded(power)
+
+    # The handed mu_x, read once: mu_at[m] is the position in P(space) of its value
+    # at the family with bitmask m. P(mu_x) sends families to the OR of their lifts.
+    mu_at = [families.position[apply(mu_x, family)] for family in families.at_mask]
+    lift = [1 << mu_at[m] for m in families.mask]
+    witness = None
 
     if mode == "exhaustive":
-        left = compose(mu_x, mu.component(power))
-        right = compose(mu_x, powerset_arrow(mu_x))
-        return sweep(
-            "monad-associativity[exhaustive]",
-            subject,
-            _pointwise_cases(left, right, ("mu∘mu_P", "mu∘P(mu)")),
-        )
+        mu_p = mu.component(power)
+        triples = _encoded(families.power)
+        lifted = _images(lift)
+        law, checked, collapse = "monad-associativity[exhaustive]", len(triples.mask), partial(apply, mu_p)
+        lefts = [mu_at[families.mask[triples.position[apply(mu_p, triple)]]] for triple in triples.power]
+        rights = [mu_at[lifted[m]] for m in triples.mask]
+        witness = next((w for w in zip(triples.power, lefts, rights) if w[1] != w[2]), None)
+    else:
+        # P^3 is unenumerable here, so mu at P(space) is taken by definition
+        # (union) on drawn families; mu_x is still read through its table.
+        law, checked = f"monad-associativity[sampled,seed={seed},n={samples}]", samples
+        collapse = lambda family: make_finite_set(g for members in family for g in members)
+        rng = random.Random(seed)
+        for _ in range(samples):
+            drawn = rng.sample(range(len(families.mask)), rng.randint(0, len(families.mask)))
+            lhs = mu_at[reduce(or_, map(families.mask.__getitem__, drawn), 0)]
+            rhs = mu_at[reduce(or_, map(lift.__getitem__, drawn), 0)]
+            if lhs != rhs and witness is None:
+                witness = make_finite_set(families.power.elements[j] for j in drawn), lhs, rhs
 
-    # Sampled mode: P^3 is unenumerable here, so the outer multiplication and
-    # the lifted one are evaluated by definition (union of a family, image of
-    # a family) on randomly drawn families, while mu at the base component is
-    # still exercised through its actual table.
-    power2 = powerset_object(power)
-    index2 = _subset_index(power2)
-    mu_table = mu_x.table
+    if witness is None:
+        return LawReport(law, show(space), checked)
+    value, lhs, rhs = witness
 
-    def both_sides(members: tuple) -> tuple:
-        collapsed = index2[frozenset().union(*(g.member_set for g in members))]
-        lhs = mu_table[collapsed]
-        image = index2[frozenset(mu_table[g] for g in members)]
-        rhs = mu_table[image]
-        return lhs, rhs
+    def replay():
+        # both sides again from the atoms, with P(mu_x) taken by its definition
+        image = make_finite_set(apply(mu_x, g) for g in value)
+        return apply(mu_x, collapse(value)), apply(mu_x, image)
 
-    rng = random.Random(seed)
-    population = power2.elements
-    witness = None
-    for _ in range(samples):
-        members = tuple(rng.sample(population, rng.randint(0, len(population))))
-        lhs, rhs = both_sides(members)
-        if lhs != rhs and witness is None:
-            witness = Counterexample(
-                value=make_finite_set(members),
-                lhs=lhs,
-                rhs=rhs,
-                labels=("mu∘mu_P", "mu∘P(mu)"),
-                replay=lambda members=members: both_sides(members),
-            )
-    return LawReport(
-        f"monad-associativity[sampled,seed={seed},n={samples}]",
-        subject,
-        samples,
-        witness,
-    )
+    labels = ("mu∘mu_P", "mu∘P(mu)")
+    cx = Counterexample(value, power.elements[lhs], power.elements[rhs], labels, replay)
+    return LawReport(law, show(space), checked, cx)

@@ -238,3 +238,14 @@ def test_constructor_trusts_its_input_and_make_finite_set_canonicalizes():
     atoms = (2, 1, 2)
     assert FiniteSet(atoms).elements is atoms
     assert make_finite_set(atoms).elements == (1, 2)
+
+
+def test_sort_key_and_member_set_are_built_on_first_read():
+    inner = make_finite_set([2, "a"])
+    s = FiniteSet((1, inner))
+    assert s._sort_key is None and s._member_set is None
+    assert s.member_set == frozenset({1, inner})
+    assert s._sort_key is None
+    assert s.sort_key == (2, ((0, 1), (2, ((0, 2), (1, "a")))))
+    assert s.sort_key is s._sort_key and s.member_set is s._member_set
+    assert hash(s) == hash((1, inner))

@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
+from finmonad import powerset
 from finmonad.finset import (
     FiniteFunction,
+    atom_key,
     apply,
     compose,
     enumerate_functions,
@@ -64,6 +66,28 @@ def test_powerset_sizes_double_per_element():
         assert len(powerset_object(space)) == 2 ** n
 
 
+def carriers(max_size):
+    """Carriers of ints, strings, mixed kinds (True and 0 in the int kind) and
+    nested sets, of each size up to `max_size`."""
+    empty = make_finite_set()
+    pools = (
+        [3, 1, 4, 2],
+        ["b", "a", "d", "c"],
+        [True, "a", empty, 0],
+        [make_finite_set([1, 2]), empty, make_finite_set([empty]), make_finite_set([1])],
+    )
+    return [make_finite_set(pool[:n]) for pool in pools for n in range(max_size + 1)]
+
+
+def test_powerset_is_in_canonical_order():
+    spaces = carriers(4)
+    spaces += [powerset_object(make_finite_set(range(1, n + 1))) for n in range(3)]
+    for space in spaces:
+        power = powerset_object(space)
+        assert power.elements == tuple(sorted(power.elements, key=atom_key))
+        assert {s.member_set for s in power} == bitmask_oracle(space)
+
+
 def test_powerset_cap():
     with pytest.raises(PowersetTooLargeError):
         powerset_object(make_finite_set(range(17)))
@@ -94,6 +118,17 @@ def test_image_of_parity_arrow_by_enumeration():
         expected = frozenset(apply(g, x) for x in subset.members)
         assert apply(lifted, subset).member_set == expected
     assert apply(lifted, make_subset(ints, [16, 27])).member_set == {True, False}
+
+
+def test_image_map_matches_its_definition():
+    for dom, cod in itertools.product(carriers(3), repeat=2):
+        for f in enumerate_functions(dom, cod):
+            lifted = powerset_arrow(f)
+            assert lifted.domain == powerset_object(dom) and lifted.codomain == powerset_object(cod)
+            for subset in lifted.domain:
+                image = apply(lifted, subset)
+                assert image in lifted.codomain
+                assert image.member_set == frozenset(apply(f, x) for x in subset)
 
 
 def test_functor_preserves_identity():
@@ -140,6 +175,21 @@ def test_unit_wraps_into_singletons():
     assert apply(eta, 1).member_set == frozenset([1])
     assert apply(eta, 2).member_set == frozenset([2])
     assert eta_component(make_finite_set()).pairs == ()
+
+
+def test_unit_and_multiplication_match_their_definitions():
+    for space in carriers(4):
+        eta = eta_component(space)
+        assert eta.domain == space and eta.codomain == powerset_object(space)
+        for x in space:
+            assert apply(eta, x) in eta.codomain and apply(eta, x).member_set == frozenset([x])
+    for space in carriers(3):
+        mu = mu_component(space)
+        assert mu.domain == powerset_object(powerset_object(space)) and mu.codomain == powerset_object(space)
+        for family in mu.domain:
+            union = apply(mu, family)
+            assert union in mu.codomain
+            assert union.member_set == frozenset().union(*(g.member_set for g in family))
 
 
 def test_unit_is_injective_up_to_size_four():
@@ -292,6 +342,46 @@ def test_corrupted_multiplication_fails_exhaustive_associativity():
     assert cx.labels == ("mu∘mu_P", "mu∘P(mu)")
     assert cx.lhs != cx.rhs
     assert cx.recheck()
+    assert report.to_line() == (
+        "FAIL monad-associativity[exhaustive] @ {1,2} "
+        "witness={{},{{}},{{},{1}},{{1}},{{1},{1,2}}} [mu∘mu_P,mu∘P(mu)] lhs={1,2} rhs={1}"
+    )
+
+
+def test_exhaustive_associativity_consumes_the_outer_component():
+    # mu at P({1,2}) is handed corrupted, mu at {1,2} is honest: a checker that
+    # derived the outer multiplication as a union would pass
+    space = make_finite_set([1, 2])
+    power = powerset_object(space)
+    honest = mu_component(power)
+    triple = make_finite_set([make_finite_set([make_subset(space, [1])])])
+    empty_family = make_finite_set()
+    corrupted = FiniteFunction(
+        honest.domain,
+        honest.codomain,
+        tuple((f, empty_family if f == triple else s) for f, s in honest.pairs),
+    )
+    broken_mu = NatTransform(
+        "mu-outer-corrupted", MU.source, MU.target,
+        lambda at: corrupted if at == power else mu_component(at),
+    )
+    report = check_associativity(space, mode="exhaustive", mu=broken_mu)
+    assert report.to_line() == (
+        "FAIL monad-associativity[exhaustive] @ {1,2} witness={{{1}}} [mu∘mu_P,mu∘P(mu)] lhs={} rhs={1}"
+    )
+    assert report.counterexample.recheck()
+
+
+def test_exhaustive_associativity_composes_no_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("compose called")
+
+    space = make_finite_set([1, 2])
+    misses = powerset_arrow.cache_info().misses
+    monkeypatch.setattr(powerset, "compose", refuse)
+    report = check_associativity(space, mode="exhaustive", mu=MU)
+    assert report.passed and report.checked == 65536
+    assert powerset_arrow.cache_info().misses == misses
 
 
 def test_report_lines_follow_the_grammar():
