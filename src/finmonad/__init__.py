@@ -65,7 +65,6 @@ from .containers import (
 )
 from .laws import (
     Generators,
-    LabeledFunction,
     check_bind_join_coherence,
     check_functor_laws,
     check_monad_laws,

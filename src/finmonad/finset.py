@@ -18,7 +18,7 @@ from typing import Any
 
 Atom = Any  # ints, bools, strings, or FiniteSet values nested recursively
 
-DEFAULT_ENUMERATION_CAP = 1_000_000
+ENUMERATION_CAP = 1_000_000
 
 # Kind tags give mixed-type element universes a single total order.
 _KIND_INT = 0
@@ -107,11 +107,6 @@ class FiniteSet:
             self._sort_key = (_KIND_SET, tuple(atom_key(m) for m in self.elements))
         return self._sort_key
 
-    @property
-    def members(self) -> tuple[Atom, ...]:
-        """The elements, under the name a subset's members go by."""
-        return self.elements
-
     def __iter__(self) -> Iterator[Atom]:
         return iter(self.elements)
 
@@ -158,24 +153,26 @@ def make_subset(carrier: FiniteSet, members: Iterable[Atom]) -> FiniteSet:
 class FiniteFunction:
     """A total function between two finite sets, stored as an explicit table.
 
-    `pairs` holds one (x, f(x)) entry per domain element in canonical domain
-    order; `table` is the same data as a dict for O(1) application. Equality
-    is categorical arrow identity: domain, codomain, and table must all agree.
+    `table` maps each domain element to its image and is the one copy of the
+    data; `pairs` derives the (x, f(x)) entries from it, in canonical domain
+    order. Equality is categorical arrow identity: domain, codomain, and
+    table must all agree.
 
-    The constructor trusts its input; use `make_function` for validation.
+    The constructor trusts its input: one pair per domain element, in
+    canonical domain order. Use `make_function` for validation.
     """
 
-    __slots__ = ("domain", "codomain", "pairs", "table", "_hash")
+    __slots__ = ("domain", "codomain", "table", "_hash")
 
     def __init__(self, domain: FiniteSet, codomain: FiniteSet, pairs: Iterable[tuple[Atom, Atom]]):
         self.domain = domain
         self.codomain = codomain
-        self.pairs: tuple[tuple[Atom, Atom], ...] = tuple(pairs)
-        self.table = dict(self.pairs)
-        self._hash = hash((domain, codomain, self.pairs))
+        self.table = dict(pairs)
+        self._hash = hash((domain, codomain, tuple(self.table.values())))
 
-    def __call__(self, x: Atom) -> Atom:
-        return apply(self, x)
+    @property
+    def pairs(self) -> tuple[tuple[Atom, Atom], ...]:
+        return tuple(self.table.items())
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -186,7 +183,7 @@ class FiniteFunction:
             self._hash == other._hash
             and self.domain == other.domain
             and self.codomain == other.codomain
-            and self.pairs == other.pairs
+            and self.table == other.table
         )
 
     def __hash__(self) -> int:
@@ -240,7 +237,7 @@ def compose(outer: FiniteFunction, inner: FiniteFunction) -> FiniteFunction:
     return FiniteFunction(
         inner.domain,
         outer.codomain,
-        tuple((x, table[y]) for x, y in inner.pairs),
+        tuple((x, table[y]) for x, y in inner.table.items()),
     )
 
 
@@ -252,22 +249,18 @@ def apply(f: FiniteFunction, x: Atom) -> Atom:
         raise NotInDomainError(f"{x!r} is not in the domain of {f!r}") from None
 
 
-def enumerate_functions(
-    domain: FiniteSet,
-    codomain: FiniteSet,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Iterator[FiniteFunction]:
+def enumerate_functions(domain: FiniteSet, codomain: FiniteSet) -> Iterator[FiniteFunction]:
     """Yield every total function domain -> codomain exactly once.
 
     The order is deterministic: domain elements are assigned images from
     `itertools.product` over the codomain's canonical order. The full count
-    |codomain| ** |domain| is checked against `cap` up front, so the error
-    is raised eagerly rather than mid-iteration.
+    |codomain| ** |domain| is checked against `ENUMERATION_CAP` up front, so
+    the error is raised eagerly rather than mid-iteration.
     """
     total = len(codomain) ** len(domain)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationTooLargeError(
-            f"{total} functions from {domain!r} to {codomain!r} exceeds the cap of {cap}"
+            f"{total} functions from {domain!r} to {codomain!r} exceeds the cap of {ENUMERATION_CAP}"
         )
     xs = domain.elements
 

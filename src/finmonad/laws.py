@@ -1,8 +1,8 @@
 """Panel-driven checker for functor and monad laws on container instances.
 
 The laws are universally quantified equations, so they are checked over
-finite, curated panels of values and labeled functions rather than random
-streams: identical inputs always produce byte-identical report sequences,
+finite, curated panels of values and of `(label, function)` pairs rather than
+random streams: identical inputs always produce byte-identical report sequences,
 and a failing law reports the first failing panel entry as a replayable
 counterexample. Panels are ordered smallest-first and include the degenerate
 cases (empty list, NOTHING, zero). For larger sweeps, `random_generators`
@@ -33,60 +33,52 @@ from .reports import LawReport, sweep
 
 
 @dataclass(frozen=True)
-class LabeledFunction:
-    """A function plus the label under which it appears in reports."""
-
-    label: str
-    fn: Callable[[Any], Any]
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
 class Generators:
     """The finite panels one law sweep is quantified over.
 
     values: container values; elements: raw payloads for laws that start
     from a plain value; functions: endofunctions on payloads; kleisli:
-    payload-to-container functions.
+    payload-to-container functions. Both function panels hold
+    `(label, function)` pairs; the label is how a case names the function.
     """
 
     values: tuple
     elements: tuple
-    functions: tuple[LabeledFunction, ...]
-    kleisli: tuple[LabeledFunction, ...]
+    functions: tuple[tuple[str, Callable[[Any], Any]], ...]
+    kleisli: tuple[tuple[str, Callable[[Any], Any]], ...]
 
 
-IDENTITY = LabeledFunction("id", lambda x: x)
+def _identity(x):
+    return x
+
 
 _FUNCTIONS = (
-    IDENTITY,
-    LabeledFunction("×2", lambda x: x * 2),
-    LabeledFunction("×3", lambda x: x * 3),
-    LabeledFunction("+1", lambda x: x + 1),
-    LabeledFunction("negate", lambda x: -x),
-    LabeledFunction("square", lambda x: x * x),
+    ("id", _identity),
+    ("×2", lambda x: x * 2),
+    ("×3", lambda x: x * 3),
+    ("+1", lambda x: x + 1),
+    ("negate", lambda x: -x),
+    ("square", lambda x: x * x),
 )
 
 _ELEMENTS = tuple(range(-6, 7))
 
 _LIST_KLEISLI = (
-    LabeledFunction("unit", lambda x: [x]),
-    LabeledFunction("dup-succ", lambda x: [x, x + 1]),
-    LabeledFunction("odd-filter", lambda x: [x * 2] if x % 2 else []),
-    LabeledFunction("drop", lambda x: []),
-    LabeledFunction("mirror", lambda x: [x, -x]),
-    LabeledFunction("const-7", lambda x: [7]),
+    ("unit", lambda x: [x]),
+    ("dup-succ", lambda x: [x, x + 1]),
+    ("odd-filter", lambda x: [x * 2] if x % 2 else []),
+    ("drop", lambda x: []),
+    ("mirror", lambda x: [x, -x]),
+    ("const-7", lambda x: [7]),
 )
 
 _OPTION_KLEISLI = (
-    LabeledFunction("unit", lambda x: Just(x)),
-    LabeledFunction("guard-pos", lambda x: Just(x) if x > 0 else NOTHING),
-    LabeledFunction("guard-even", lambda x: Just(x) if x % 2 == 0 else NOTHING),
-    LabeledFunction("halve", lambda x: Just(x // 2) if x % 2 == 0 else NOTHING),
-    LabeledFunction("drop", lambda x: NOTHING),
-    LabeledFunction("negate-just", lambda x: Just(-x)),
+    ("unit", lambda x: Just(x)),
+    ("guard-pos", lambda x: Just(x) if x > 0 else NOTHING),
+    ("guard-even", lambda x: Just(x) if x % 2 == 0 else NOTHING),
+    ("halve", lambda x: Just(x // 2) if x % 2 == 0 else NOTHING),
+    ("drop", lambda x: NOTHING),
+    ("negate-just", lambda x: Just(-x)),
 )
 
 
@@ -152,7 +144,7 @@ def random_generators(instance: ContainerInstance, *, seed: int = 0, size: int =
 
     The same seed and size always give the same panels, so reports stay
     reproducible. The degenerate values are force-included up front, and the
-    labeled function panels are shared with the defaults.
+    function panels are shared with the defaults.
     """
     rng = random.Random(seed)
     draw = lambda: rng.randint(-100, 100)
@@ -198,14 +190,14 @@ def check_functor_laws(instance: ContainerInstance, gen: Generators) -> list[Law
 
     def identity_cases():
         for m in gen.values:
-            yield m, (), lambda m=m: (instance.map(IDENTITY, m), m)
+            yield m, (), lambda m=m: (instance.map(_identity, m), m)
 
     def composition_cases():
-        pairs = []
-        for f in gen.functions:
-            for g in gen.functions:
-                composed = LabeledFunction(f"{f.label}∘{g.label}", lambda x, f=f, g=g: f(g(x)))
-                pairs.append(((f.label, g.label), f, g, composed))
+        pairs = [
+            ((f_label, g_label), f, g, lambda x, f=f, g=g: f(g(x)))
+            for f_label, f in gen.functions
+            for g_label, g in gen.functions
+        ]
         for m in gen.values:
             for labels, f, g, composed in pairs:
                 yield m, labels, lambda m=m, f=f, g=g, c=composed: (
@@ -225,15 +217,15 @@ def check_monad_laws(instance: ContainerInstance, gen: Generators) -> list[LawRe
 
     def left_identity_cases():
         for x in gen.elements:
-            for k in gen.kleisli:
-                yield x, (k.label,), lambda x=x, k=k: (instance.bind(instance.unit(x), k), k(x))
+            for label, k in gen.kleisli:
+                yield x, (label,), lambda x=x, k=k: (instance.bind(instance.unit(x), k), k(x))
 
     def right_identity_cases():
         for m in gen.values:
             yield m, ("unit",), lambda m=m: (instance.bind(m, instance.unit), m)
 
     def associativity_cases():
-        pairs = [((k.label, h.label), k, h) for k in gen.kleisli for h in gen.kleisli]
+        pairs = [((k_label, h_label), k, h) for k_label, k in gen.kleisli for h_label, h in gen.kleisli]
         for m in gen.values:
             for labels, k, h in pairs:
                 yield m, labels, lambda m=m, k=k, h=h: (
@@ -253,8 +245,8 @@ def check_bind_join_coherence(instance: ContainerInstance, gen: Generators) -> L
 
     def cases():
         for m in gen.values:
-            for k in gen.kleisli:
-                yield m, (k.label,), lambda m=m, k=k: (
+            for label, k in gen.kleisli:
+                yield m, (label,), lambda m=m, k=k: (
                     instance.bind(m, k),
                     instance.join(instance.map(k, m)),
                 )

@@ -120,6 +120,18 @@ def test_powerset_check_transcript_is_pinned(run_cli):
     assert out == load_golden("powerset_check_size1.txt")
 
 
+def test_powerset_check_default_transcript_is_pinned(run_cli):
+    code, out = run_cli("powerset-check")
+    assert code == 0
+    assert out == load_golden("powerset_check_default.txt")
+
+
+def test_laws_all_transcript_is_pinned(run_cli):
+    code, out = run_cli("laws")
+    assert code == 1
+    assert out == load_golden("laws_all.txt")
+
+
 def test_powerset_check_streams_lines_before_a_crash(monkeypatch, capsys, tmp_path):
     real = cli.check_associativity
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from finmonad import powerset
+from finmonad import finset, powerset
 from finmonad.finset import (
     FiniteFunction,
     atom_key,
@@ -57,7 +57,7 @@ def test_powerset_of_two_element_set():
 def test_powerset_of_empty_set():
     power = powerset_object(make_finite_set())
     assert len(power) == 1
-    assert next(iter(power)).members == ()
+    assert next(iter(power)).elements == ()
 
 
 def test_powerset_sizes_double_per_element():
@@ -95,7 +95,7 @@ def test_powerset_cap():
 
 def test_subset_carrier_membership_validated():
     space = make_finite_set([1, 2])
-    assert make_subset(space, [2, 1, 2]).members == (1, 2)
+    assert make_subset(space, [2, 1, 2]).elements == (1, 2)
     with pytest.raises(NotInDomainError):
         make_subset(space, [3])
 
@@ -115,7 +115,7 @@ def test_image_of_parity_arrow_by_enumeration():
     g = make_function(ints, bools, {16: True, 27: False})
     lifted = powerset_arrow(g)
     for subset in powerset_object(ints):
-        expected = frozenset(apply(g, x) for x in subset.members)
+        expected = frozenset(apply(g, x) for x in subset.elements)
         assert apply(lifted, subset).member_set == expected
     assert apply(lifted, make_subset(ints, [16, 27])).member_set == {True, False}
 
@@ -251,6 +251,10 @@ def corrupt_unit_at(space):
 
 
 def test_corrupted_unit_fails_naturality_with_witness():
+    # True and 1 are one atom, and the powerset caches keep whichever spelling
+    # built P({False,True}) first; start them cold so the line below is fixed
+    for cached in (powerset._encoded, powerset_arrow, mu_component):
+        cached.cache_clear()
     ints = make_finite_set([16, 27])
     bools = make_finite_set([True, False])
     g = make_function(ints, bools, {16: True, 27: False})
@@ -261,6 +265,7 @@ def test_corrupted_unit_fails_naturality_with_witness():
     assert cx.lhs.member_set == frozenset()          # image of the empty subset
     assert cx.rhs.member_set == frozenset([True])    # the honest singleton
     assert cx.recheck()
+    assert report.to_line() == "FAIL naturality[eta-corrupted] @ {16->True,27->False} witness=16 lhs={} rhs={True}"
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +304,23 @@ def test_associativity_exhaustive_mode_refuses_size_three():
         check_associativity(make_finite_set([1, 2, 3]), mode="exhaustive")
 
 
+def corrupt_mu_at(space):
+    """A multiplication whose component at `space` sends the family
+    {{1},{1,2}} to the empty subset, and is honest everywhere else."""
+    honest = mu_component(space)
+    family = make_subset(powerset_object(space), [make_subset(space, [1]), make_subset(space, [1, 2])])
+    empty = make_subset(space, [])
+    corrupted = FiniteFunction(
+        honest.domain,
+        honest.codomain,
+        tuple((f, empty if f == family else s) for f, s in honest.pairs),
+    )
+    return NatTransform(
+        "mu-corrupted", MU.source, MU.target,
+        lambda at: corrupted if at == space else mu_component(at),
+    )
+
+
 def test_corrupted_multiplication_fails_unit_laws():
     def intersect_component(space):
         power = powerset_object(space)
@@ -306,7 +328,7 @@ def test_corrupted_multiplication_fails_unit_laws():
         index = {s.member_set: s for s in power}
         pairs = []
         for family in power2:
-            member_sets = [g.member_set for g in family.members]
+            member_sets = [g.member_set for g in family.elements]
             meet = frozenset.intersection(*member_sets) if member_sets else frozenset()
             pairs.append((family, index[meet]))
         return FiniteFunction(power2, power, tuple(pairs))
@@ -315,23 +337,14 @@ def test_corrupted_multiplication_fails_unit_laws():
     report = check_unit_laws(make_finite_set([1, 2]), mu=broken_mu)
     assert not report.passed
     assert report.counterexample.recheck()
+    assert report.to_line() == (
+        "FAIL monad-unit[exhaustive] @ {1,2} witness={1,2} [mu∘P(eta)] lhs={} rhs={1,2}"
+    )
 
 
 def test_corrupted_multiplication_fails_exhaustive_associativity():
     space = make_finite_set([1, 2])
-    honest = mu_component(space)
-    power = powerset_object(space)
-    family = make_subset(power, [make_subset(space, [1]), make_subset(space, [1, 2])])
-    empty = make_subset(space, [])
-    corrupted = FiniteFunction(
-        honest.domain,
-        honest.codomain,
-        tuple((f, empty if f == family else s) for f, s in honest.pairs),
-    )
-    broken_mu = NatTransform(
-        "mu-corrupted", MU.source, MU.target,
-        lambda at: corrupted if at == space else mu_component(at),
-    )
+    broken_mu = corrupt_mu_at(space)
     # the unit triangles only consult mu on one-member families and on
     # families of singletons, so only the square can see this defect
     assert check_unit_laws(space, mu=broken_mu).passed
@@ -346,6 +359,26 @@ def test_corrupted_multiplication_fails_exhaustive_associativity():
         "FAIL monad-associativity[exhaustive] @ {1,2} "
         "witness={{},{{}},{{},{1}},{{1}},{{1},{1,2}}} [mu∘mu_P,mu∘P(mu)] lhs={1,2} rhs={1}"
     )
+
+
+def test_corrupted_unit_at_the_powerset_fails_the_first_triangle():
+    # eta is wrong only at P({1}), so only mu∘eta_P sees it, and the witness
+    # must replay that triangle rather than the one checked after it
+    space = make_finite_set([1])
+    report = check_unit_laws(space, eta=corrupt_unit_at(powerset_object(space)))
+    assert report.to_line() == "FAIL monad-unit[exhaustive] @ {1} witness={1} [mu∘eta_P] lhs={} rhs={1}"
+    assert report.counterexample.recheck()
+
+
+def test_corrupted_multiplication_fails_naturality_with_witness():
+    space = make_finite_set([1, 2])
+    broken_mu = corrupt_mu_at(space)
+    failures = [report for report in naturality_sweep(broken_mu, 2) if not report.passed]
+    assert [report.to_line() for report in failures] == [
+        "FAIL naturality[mu-corrupted] @ {1,2}->{1} witness={{1},{1,2}} lhs={} rhs={1}",
+        "FAIL naturality[mu-corrupted] @ {1,2}->{1,2} witness={{1},{1,2}} lhs={} rhs={1}",
+    ]
+    assert all(report.counterexample.recheck() for report in failures)
 
 
 def test_exhaustive_associativity_consumes_the_outer_component():
@@ -374,14 +407,20 @@ def test_exhaustive_associativity_consumes_the_outer_component():
 
 def test_exhaustive_associativity_composes_no_tables(monkeypatch):
     def refuse(*args):
-        raise AssertionError("compose called")
+        raise AssertionError("a table was composed or built as an identity")
 
+    monkeypatch.setattr(finset, "compose", refuse)
+    monkeypatch.setattr(finset, "identity", refuse)
+    assert not hasattr(powerset, "compose") and not hasattr(powerset, "identity")
     space = make_finite_set([1, 2])
+    assert check_unit_laws(space).passed
     misses = powerset_arrow.cache_info().misses
-    monkeypatch.setattr(powerset, "compose", refuse)
     report = check_associativity(space, mode="exhaustive", mu=MU)
-    assert report.passed and report.checked == 65536
     assert powerset_arrow.cache_info().misses == misses
+    assert report.passed and report.checked == 65536
+    for transform in (ETA, MU):
+        for report in naturality_sweep(transform, 2):
+            assert report.passed, report.to_line()
 
 
 def test_report_lines_follow_the_grammar():
@@ -399,18 +438,7 @@ def test_report_lines_follow_the_grammar():
 
 def test_sampled_associativity_witness_is_pinned():
     space = make_finite_set([1, 2, 3])
-    honest = mu_component(space)
-    family = make_subset(powerset_object(space), [make_subset(space, [1]), make_subset(space, [1, 2])])
-    empty = make_subset(space, [])
-    corrupted = FiniteFunction(
-        honest.domain,
-        honest.codomain,
-        tuple((f, empty if f == family else s) for f, s in honest.pairs),
-    )
-    broken_mu = NatTransform(
-        "mu-corrupted", MU.source, MU.target,
-        lambda at: corrupted if at == space else mu_component(at),
-    )
+    broken_mu = corrupt_mu_at(space)
     report = check_associativity(space, samples=10_000, seed=42, mu=broken_mu)
     assert report.to_line() == (
         "FAIL monad-associativity[sampled,seed=42,n=10000] @ {1,2,3} "

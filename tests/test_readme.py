@@ -1,0 +1,56 @@
+"""The README's python quickstart runs as written, and each `# <value>`
+comment in it is the value of the expression it annotates: the expression on
+the comment's own line, or on the line above for a comment on a line of its
+own. Renaming or removing an API name the README uses fails here."""
+
+from __future__ import annotations
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quickstart() -> str:
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+def literal(comment: str):
+    """The comment's value, or None when it is prose rather than a literal."""
+    try:
+        return (ast.literal_eval(comment),)
+    except (ValueError, SyntaxError):
+        return None
+
+
+def test_readme_quickstart_values(capsys):
+    source = quickstart()
+    namespace: dict = {}
+    values = {}  # last line of each expression statement -> its value
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Expr):
+            code = compile(ast.Expression(statement.value), "README.md", "eval")
+            values[statement.end_lineno] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    checked = 0
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        expected = literal(token.string[1:].strip())
+        if expected is None:
+            continue
+        row = token.start[0]
+        if row not in values:
+            row -= 1
+        assert row in values, f"README line {token.start[0]}: {token.string} annotates no expression"
+        assert values[row] == expected[0], f"README line {token.start[0]}: got {values[row]!r}"
+        checked += 1
+    # apply(parity, 16), both .to_line() strings and LIST.bind(...)
+    assert checked == 4
+    assert "PASS functor-identity @ option" in capsys.readouterr().out
