@@ -108,6 +108,15 @@ def test_powerset_check_small_sweep(run_cli):
     assert "FAIL" not in out
 
 
+def test_powerset_check_max_size_four_at_default_samples(run_cli):
+    # 10,000 small families at {1,2,3,4} take about a second to draw
+    code, out = run_cli("powerset-check", "--max-size", "4")
+    assert code == 0
+    lines = out.splitlines()
+    assert "PASS monad-unit[exhaustive] @ {1,2,3,4} checked=65536" in lines
+    assert "PASS monad-associativity[sampled,seed=42,n=10000] @ {1,2,3,4} checked=10000" in lines
+
+
 def test_laws_report_transcript_is_pinned(run_cli):
     code, out = run_cli("laws", "--instance", "multishape")
     assert code == 1

@@ -33,6 +33,7 @@ from finmonad.powerset import (
     powerset_arrow,
     powerset_object,
 )
+from finmonad.render import show
 
 
 def bitmask_oracle(atoms):
@@ -86,6 +87,18 @@ def test_powerset_is_in_canonical_order():
         power = powerset_object(space)
         assert power.elements == tuple(sorted(power.elements, key=atom_key))
         assert {s.member_set for s in power} == bitmask_oracle(space)
+
+
+def test_rendering_does_not_depend_on_cache_history():
+    # True == 1, so {False,True} == {0,1}; each spelling must render as itself
+    # in either order, whichever of the two the powerset caches saw first
+    bools = make_finite_set([True, False]), ("{}", "{False}", "{False,True}", "{True}")
+    ints = make_finite_set(range(2)), ("{}", "{0}", "{0,1}", "{1}")
+    for space, subsets in (bools, ints, bools):
+        power = "{" + ",".join(subsets) + "}"
+        assert show(powerset_object(space)) == power
+        assert show(mu_component(space).codomain) == power
+        assert show(powerset_arrow(identity(space))) == "{" + ",".join(f"{s}->{s}" for s in subsets) + "}"
 
 
 def test_powerset_cap():
@@ -251,10 +264,6 @@ def corrupt_unit_at(space):
 
 
 def test_corrupted_unit_fails_naturality_with_witness():
-    # True and 1 are one atom, and the powerset caches keep whichever spelling
-    # built P({False,True}) first; start them cold so the line below is fixed
-    for cached in (powerset._encoded, powerset_arrow, mu_component):
-        cached.cache_clear()
     ints = make_finite_set([16, 27])
     bools = make_finite_set([True, False])
     g = make_function(ints, bools, {16: True, 27: False})
@@ -304,21 +313,22 @@ def test_associativity_exhaustive_mode_refuses_size_three():
         check_associativity(make_finite_set([1, 2, 3]), mode="exhaustive")
 
 
-def corrupt_mu_at(space):
-    """A multiplication whose component at `space` sends the family
-    {{1},{1,2}} to the empty subset, and is honest everywhere else."""
+def mu_corrupted_at(space, family, wrong):
+    """A multiplication whose component at `space` sends `family` to
+    `wrong`, and is honest everywhere else."""
     honest = mu_component(space)
-    family = make_subset(powerset_object(space), [make_subset(space, [1]), make_subset(space, [1, 2])])
-    empty = make_subset(space, [])
-    corrupted = FiniteFunction(
-        honest.domain,
-        honest.codomain,
-        tuple((f, empty if f == family else s) for f, s in honest.pairs),
-    )
+    corrupted = FiniteFunction(honest.domain, honest.codomain, {**honest.table, family: wrong}.items())
     return NatTransform(
         "mu-corrupted", MU.source, MU.target,
         lambda at: corrupted if at == space else mu_component(at),
     )
+
+
+def corrupt_mu_at(space):
+    """mu corrupted at `space` to send the family {{1},{1,2}} to the empty
+    subset."""
+    family = make_subset(powerset_object(space), [make_subset(space, [1]), make_subset(space, [1, 2])])
+    return mu_corrupted_at(space, family, make_subset(space, []))
 
 
 def test_corrupted_multiplication_fails_unit_laws():
@@ -385,19 +395,8 @@ def test_exhaustive_associativity_consumes_the_outer_component():
     # mu at P({1,2}) is handed corrupted, mu at {1,2} is honest: a checker that
     # derived the outer multiplication as a union would pass
     space = make_finite_set([1, 2])
-    power = powerset_object(space)
-    honest = mu_component(power)
     triple = make_finite_set([make_finite_set([make_subset(space, [1])])])
-    empty_family = make_finite_set()
-    corrupted = FiniteFunction(
-        honest.domain,
-        honest.codomain,
-        tuple((f, empty_family if f == triple else s) for f, s in honest.pairs),
-    )
-    broken_mu = NatTransform(
-        "mu-outer-corrupted", MU.source, MU.target,
-        lambda at: corrupted if at == power else mu_component(at),
-    )
+    broken_mu = mu_corrupted_at(powerset_object(space), triple, make_finite_set())
     report = check_associativity(space, mode="exhaustive", mu=broken_mu)
     assert report.to_line() == (
         "FAIL monad-associativity[exhaustive] @ {1,2} witness={{{1}}} [mu∘mu_P,mu∘P(mu)] lhs={} rhs={1}"
@@ -442,9 +441,28 @@ def test_sampled_associativity_witness_is_pinned():
     report = check_associativity(space, samples=10_000, seed=42, mu=broken_mu)
     assert report.to_line() == (
         "FAIL monad-associativity[sampled,seed=42,n=10000] @ {1,2,3} "
-        "witness={{{},{1,3},{3}},{{1},{1,2}}} [mu∘mu_P,mu∘P(mu)] lhs={1,2,3} rhs={1,3}"
+        "witness={{{},{1}},{{1},{1,2}}} [mu∘mu_P,mu∘P(mu)] lhs={1,2} rhs={1}"
     )
     assert report.counterexample.recheck()
+
+
+def test_sampled_associativity_kills_a_stride_of_single_point_mutants():
+    # Every single-point corruption of mu at {1,2,3}, in the order of mu's
+    # table and then of the codomain: 256 families x 7 wrong values = 1,792.
+    # Every 12th of them is checked, 150 mutants, none chosen by hand.
+    space = make_finite_set([1, 2, 3])
+    honest = mu_component(space)
+    mutants = [
+        (family, wrong) for family, right in honest.pairs for wrong in honest.codomain if wrong != right
+    ]
+    assert len(mutants) == 1792
+    kills = 0
+    for family, wrong in mutants[::12]:
+        report = check_associativity(space, samples=10_000, seed=42, mu=mu_corrupted_at(space, family, wrong))
+        if not report.passed:
+            assert report.counterexample.recheck(), report.to_line()
+            kills += 1
+    assert kills >= 140, f"{kills} of 150 mutants killed"
 
 
 # ---------------------------------------------------------------------------
