@@ -168,7 +168,7 @@ class FiniteFunction:
         self.domain = domain
         self.codomain = codomain
         self.table = dict(pairs)
-        self._hash = hash((domain, codomain, tuple(self.table.values())))
+        self._hash = None  # built on first use: most tables are never hashed
 
     @property
     def pairs(self) -> tuple[tuple[Atom, Atom], ...]:
@@ -180,13 +180,15 @@ class FiniteFunction:
         if not isinstance(other, FiniteFunction):
             return NotImplemented
         return (
-            self._hash == other._hash
+            hash(self) == hash(other)
             and self.domain == other.domain
             and self.codomain == other.codomain
             and self.table == other.table
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.domain, self.codomain, tuple(self.table.values())))
         return self._hash
 
     def __repr__(self) -> str:

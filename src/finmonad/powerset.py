@@ -262,27 +262,35 @@ def check_associativity(
     that space tops out at 65 536 elements. Larger carriers use `samples`
     families drawn with a generator seeded by `seed`, each of one member, then
     one more at odds 1/2 (mean size 2, members may repeat), and take mu at
-    P(space) to be union. The law name records the mode, seed and sample count.
+    P(space) to be union. They read the handed mu at `space` only where their
+    samples reach, so cost follows `samples` (at least 1), not |P(P(space))|.
+    The law name records the mode, seed and sample count.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "exhaustive" if len(space) <= 2 else "sampled"
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled mode needs at least one sample, not {samples}")
 
     power = powerset_object(space)
     mu_x = mu.component(space)
     families = _encoded(power)
 
-    # The handed mu_x, read once: mu_at[m] is the position in P(space) of its value
-    # at the family with bitmask m. P(mu_x) sends families to the OR of their lifts.
-    mu_at = [families.position[apply(mu_x, family)] for family in families.at_mask]
-    lift = [1 << mu_at[m] for m in families.mask]
-    witness = None
+    # The handed mu_x, read at a family the first time it is needed: mu_at[m] is the
+    # position in P(space) of its value at the family with bitmask m, None until read.
+    # P(mu_x) sends families to the OR of their members' lifts, 1 << mu_at[mask].
+    mu_at, witness = [None] * len(families.mask), None
+
+    def read(m: int) -> int:
+        if mu_at[m] is None:
+            mu_at[m] = families.position[apply(mu_x, families.at_mask[m])]
+        return mu_at[m]
 
     if mode == "exhaustive":
         mu_p = mu.component(power)
         triples = _encoded(families.power)
-        lifted = _images(lift)
+        lifted = _images([1 << read(m) for m in families.mask])  # reads every entry
         law, checked, collapse = "monad-associativity[exhaustive]", len(triples.mask), partial(apply, mu_p)
         lefts = [mu_at[families.mask[triples.position[apply(mu_p, triple)]]] for triple in triples.power]
         rights = [mu_at[lifted[m]] for m in triples.mask]
@@ -291,12 +299,17 @@ def check_associativity(
         law, checked = f"monad-associativity[sampled,seed={seed},n={samples}]", samples
         collapse = lambda family: make_finite_set(g for members in family for g in members)
         rng = random.Random(seed)
+        lift = [None] * len(families.mask)  # by draw position, filled as members are drawn
         for _ in range(samples):
             drawn, union, image = [], 0, 0
             while not drawn or rng.random() < 0.5:  # one member, then one more at odds 1/2
                 drawn.append(j := rng.randrange(len(lift)))
+                if lift[j] is None:
+                    lift[j] = 1 << read(families.mask[j])
                 union, image = union | families.mask[j], image | lift[j]
             lhs, rhs = mu_at[union], mu_at[image]
+            if lhs is None or rhs is None:
+                lhs, rhs = read(union), read(image)
             if lhs != rhs and witness is None:
                 witness = make_finite_set(families.power.elements[j] for j in drawn), lhs, rhs
 

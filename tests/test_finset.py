@@ -89,6 +89,16 @@ def test_arrow_equality_requires_same_endpoints():
     assert narrow != wide
 
 
+def test_arrow_hash_is_built_on_first_use():
+    domain = make_finite_set([1, 2])
+    f = make_function(domain, domain, {1: 1, 2: 2})
+    g = make_function(domain, domain, {1: 1, 2: 2})
+    h = make_function(domain, domain, {1: 1, 2: 1})
+    assert f._hash is None and g._hash is None
+    assert f == g and hash(f) == hash(g) == f._hash
+    assert f != h and h._hash is not None
+
+
 # ---------------------------------------------------------------------------
 # identity and composition
 # ---------------------------------------------------------------------------
