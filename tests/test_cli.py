@@ -135,6 +135,12 @@ def test_powerset_check_default_transcript_is_pinned(run_cli):
     assert out == load_golden("powerset_check_default.txt")
 
 
+def test_powerset_check_seeded_transcript_is_pinned(run_cli):
+    code, out = run_cli("powerset-check", "--max-size", "2", "--seed", "7", "--samples", "300")
+    assert code == 0
+    assert out == load_golden("powerset_check_max2_seed7_samples300.txt")
+
+
 def test_laws_all_transcript_is_pinned(run_cli):
     code, out = run_cli("laws")
     assert code == 1
