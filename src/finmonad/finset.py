@@ -7,7 +7,11 @@ be checked by brute force instead of taken on faith.
 
 Everything is immutable after construction and safe to share across threads.
 Sets keep their elements in one canonical sorted order, which makes equality
-of sets, functions, and nested subsets plain structural comparison.
+of sets, functions, and nested subsets plain structural comparison. Some
+fields are filled on first use: a set's `member_set` and `sort_key`, an
+arrow's hash, and, in the powerset layer's private subclasses, a set's
+`elements` and hash and an arrow's `table`. Each fill computes a value fixed
+at construction, so threads that race to fill it store equal values.
 """
 
 from __future__ import annotations
@@ -127,9 +131,9 @@ class FiniteSet:
         return self._hash
 
     def __repr__(self) -> str:
-        if len(self.elements) <= 8:
+        if len(self) <= 8:
             return f"FiniteSet({{{', '.join(map(repr, self.elements))}}})"
-        return f"FiniteSet(<{len(self.elements)} atoms>)"
+        return f"FiniteSet(<{len(self)} atoms>)"
 
 
 def make_finite_set(atoms: Iterable[Atom] = ()) -> FiniteSet:
@@ -194,6 +198,14 @@ class FiniteFunction:
     def __repr__(self) -> str:
         return f"FiniteFunction({self.domain!r} -> {self.codomain!r})"
 
+    def _image(self, x: Atom) -> Atom:
+        # `apply` reads through here, so an arrow that builds its table on first
+        # use can map one atom without it
+        try:
+            return self.table[x]
+        except KeyError:
+            raise NotInDomainError(f"{x!r} is not in the domain of {self!r}") from None
+
 
 def make_function(
     domain: FiniteSet,
@@ -245,10 +257,7 @@ def compose(outer: FiniteFunction, inner: FiniteFunction) -> FiniteFunction:
 
 def apply(f: FiniteFunction, x: Atom) -> Atom:
     """Evaluate the arrow at one atom of its domain."""
-    try:
-        return f.table[x]
-    except KeyError:
-        raise NotInDomainError(f"{x!r} is not in the domain of {f!r}") from None
+    return f._image(x)
 
 
 def enumerate_functions(domain: FiniteSet, codomain: FiniteSet) -> Iterator[FiniteFunction]:

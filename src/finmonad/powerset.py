@@ -4,9 +4,9 @@ exhaustive checkers for naturality and the monad coherence diagrams.
 The functor P sends a set to the set of its subsets and an arrow to its image
 map. The unit wraps an element into a singleton subset; the multiplication
 collapses a family of subsets into its union. The checkers below verify, by
-full table comparison wherever the spaces fit in memory, that these really do
-form a monad: both unit triangles and the associativity square commute at
-every component checked.
+comparing both sides at every element wherever the spaces can be enumerated,
+that these really do form a monad: both unit triangles and the associativity
+square commute at every component checked.
 
 Space sizes grow as 2^2^...^|X|, so exhaustive checking is only attempted
 within explicit caps; past them the associativity checker switches to seeded
@@ -19,12 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .finset import (
     FiniteFunction,
     FiniteSet,
     FinsetError,
+    NotInDomainError,
     apply,
     enumerate_functions,
     make_finite_set,
@@ -63,35 +64,57 @@ def _cached_per_spelling(maxsize: int):
     return decorate
 
 
-class _Encoding(NamedTuple):
-    """P(space), each subset also a bitmask over the positions of `space`, so
-    images and unions are ORs of ints; public functions see only the atoms."""
+class _PowerSet(FiniteSet):
+    """P(space), its atoms built on first read. Each subset is also a bitmask over
+    the positions of `space`, so images and unions are ORs of ints."""
 
-    power: FiniteSet
-    mask: tuple[int, ...]  # mask[i] is the bitmask of power.elements[i]
-    at_mask: list[FiniteSet]  # at_mask[m] is the subset whose bitmask is m
-    position: dict  # each atom of space -> its index in space.elements
+    __slots__ = ("mask", "position")  # mask[i] is the bitmask of elements[i]
+
+    def __init__(self, space: FiniteSet):
+        n = len(space)
+        if n > POWERSET_CAP:
+            raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {POWERSET_CAP}")
+        # Canonical order is lexicographic on member tuples: over the elements from
+        # the k-th on, the empty subset, then those holding the k-th, then the rest.
+        order = [0]
+        for k in reversed(range(n)):
+            order[1:1] = [1 << k | t for t in order]
+        self.mask, self.position = order, {x: i for i, x in enumerate(space.elements)}  # x -> its index
+        self._member_set = self._sort_key = None
+
+    def __len__(self) -> int:
+        return len(self.mask)
+
+    def __getattr__(self, name: str):
+        # reached only while `elements` and `_hash` are unset
+        if name not in ("elements", "_hash"):
+            raise AttributeError(name)
+        space, atoms = tuple(self.position), []
+
+        def walk(members: tuple, start: int) -> None:  # preorder is canonical order
+            atoms.append(FiniteSet(members))
+            for i in range(start, len(space)):
+                walk(members + (space[i],), i + 1)
+
+        walk((), 0)
+        self.elements = tuple(atoms)
+        self._hash = hash(self.elements)
+        return getattr(self, name)
+
+    def atom(self, m: int) -> FiniteSet:
+        """The subset whose bitmask is m."""
+        return FiniteSet(tuple(x for i, x in enumerate(self.position) if m >> i & 1))
+
+    def mask_of(self, subset) -> int:
+        """The bitmask of one of these subsets; NotInDomainError for anything else."""
+        if not isinstance(subset, FiniteSet) or not all(x in self.position for x in subset):
+            raise NotInDomainError(f"{subset!r} is not an element of {self!r}")
+        return sum(1 << self.position[x] for x in subset)
 
 
 @_cached_per_spelling(maxsize=64)
-def _encoded(space: FiniteSet) -> _Encoding:
-    n = len(space)
-    if n > POWERSET_CAP:
-        raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {POWERSET_CAP}")
-    elements = space.elements
-    masks, at_mask = [], [None] * (1 << n)
-
-    # Canonical order is lexicographic on member tuples, which is the preorder
-    # of this walk: a subset comes before its extensions by later elements.
-    def walk(members: tuple, bits: int, start: int) -> None:
-        masks.append(bits)
-        at_mask[bits] = FiniteSet(members)
-        for i in range(start, n):
-            walk(members + (elements[i],), bits | 1 << i, i + 1)
-
-    walk((), 0, 0)
-    power = FiniteSet(tuple(at_mask[m] for m in masks))
-    return _Encoding(power, tuple(masks), at_mask, {x: i for i, x in enumerate(elements)})
+def _encoded(space: FiniteSet) -> _PowerSet:
+    return _PowerSet(space)
 
 
 def _images(bits) -> list[int]:
@@ -102,33 +125,59 @@ def _images(bits) -> list[int]:
     return images
 
 
+class _Indexed(FiniteFunction):
+    """The arrow that sends the subset of the domain with bitmask m to the subset
+    of the codomain with bitmask index[m]. Its table is built on first read;
+    `apply` maps one atom without it."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, domain: _PowerSet, codomain: _PowerSet, index: list[int]):
+        self.domain, self.codomain, self.index, self._hash = domain, codomain, index, None
+
+    def _image(self, x):
+        return self.codomain.atom(self.index[self.domain.mask_of(x)])
+
+    def __getattr__(self, name: str):
+        # reached only while `table` is unset
+        if name != "table":
+            raise AttributeError(name)
+        atoms = {c: self.codomain.atom(c) for c in set(self.index)}
+        self.table = dict(zip(self.domain.elements, [atoms[self.index[m]] for m in self.domain.mask]))
+        return self.table
+
+
+def _read(f: FiniteFunction, dom: _PowerSet, cod: _PowerSet, m: int) -> int:
+    """The bitmask in `cod` of f's image of the subset with bitmask m in `dom`.
+    An `_Indexed` arrow is read from its index; any other is applied to that one
+    atom, so a hand-built table is what gets checked."""
+    if isinstance(f, _Indexed):
+        return f.index[m]
+    return cod.mask_of(apply(f, dom.atom(m)))
+
+
 def powerset_object(space: FiniteSet) -> FiniteSet:
     """P(space): the set of all 2^|space| subsets, canonically ordered."""
-    return _encoded(space).power
+    return _encoded(space)
 
 
 @_cached_per_spelling(maxsize=128)
 def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
     """P(f): sends each subset of f's domain to its image under f."""
     dom, cod = _encoded(f.domain), _encoded(f.codomain)
-    image = _images([1 << cod.position[f.table[x]] for x in f.domain])
-    return FiniteFunction(dom.power, cod.power, zip(dom.power, [cod.at_mask[image[m]] for m in dom.mask]))
+    return _Indexed(dom, cod, _images([1 << cod.position[apply(f, x)] for x in f.domain]))
 
 
 def eta_component(space: FiniteSet) -> FiniteFunction:
     """The unit at `space`: x maps to the singleton subset {x}."""
-    subsets = _encoded(space)
-    return FiniteFunction(space, subsets.power, ((x, subsets.at_mask[1 << i]) for i, x in enumerate(space)))
+    return FiniteFunction(space, _encoded(space), ((x, FiniteSet((x,))) for x in space))
 
 
 @_cached_per_spelling(maxsize=64)
 def mu_component(space: FiniteSet) -> FiniteFunction:
     """The multiplication at `space`: a family of subsets maps to its union."""
     subsets = _encoded(space)
-    families = _encoded(subsets.power)
-    union = _images(subsets.mask)
-    pairs = zip(families.power, [subsets.at_mask[union[m]] for m in families.mask])
-    return FiniteFunction(families.power, subsets.power, pairs)
+    return _Indexed(_encoded(subsets), subsets, _images(subsets.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +285,17 @@ def check_unit_laws(
     """
     power = powerset_object(space)
     mu_x = mu.component(space)
+    families = _encoded(power)
     law, subject = "monad-unit[exhaustive]", show(space)
     witness = None
     for eta_at, label in (
         (eta.component(power), "mu∘eta_P"),
         (powerset_arrow(eta.component(space)), "mu∘P(eta)"),
     ):
-        cases = ((s, (label,), lambda s=s, eta_at=eta_at: (apply(mu_x, apply(eta_at, s)), s)) for s in power)
+        # both sides on bitmasks first; only the subsets where they differ become atoms
+        round_trips = (_read(mu_x, families, power, _read(eta_at, power, families, m)) for m in power.mask)
+        fails = (power.atom(m) for m, back in zip(power.mask, round_trips) if back != m)
+        cases = ((s, (label,), lambda s=s, eta_at=eta_at: (apply(mu_x, apply(eta_at, s)), s)) for s in fails)
         witness = witness or sweep(law, subject, cases).counterexample
     return LawReport(law, subject, len(mu_x.domain), witness)
 
@@ -264,7 +317,9 @@ def check_associativity(
     one more at odds 1/2 (mean size 2, members may repeat), and take mu at
     P(space) to be union. They read the handed mu at `space` only where their
     samples reach, so cost follows `samples` (at least 1), not |P(P(space))|.
-    The law name records the mode, seed and sample count.
+    Both modes compare bitmasks: a handed component made by this module is read
+    through its index, any other by `apply`, and only a witness becomes an
+    atom. The law name records the mode, seed and sample count.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -276,6 +331,7 @@ def check_associativity(
     power = powerset_object(space)
     mu_x = mu.component(space)
     families = _encoded(power)
+    rank = {m: i for i, m in enumerate(power.mask)}
 
     # The handed mu_x, read at a family the first time it is needed: mu_at[m] is the
     # position in P(space) of its value at the family with bitmask m, None until read.
@@ -284,17 +340,16 @@ def check_associativity(
 
     def read(m: int) -> int:
         if mu_at[m] is None:
-            mu_at[m] = families.position[apply(mu_x, families.at_mask[m])]
+            mu_at[m] = rank[_read(mu_x, families, power, m)]
         return mu_at[m]
 
     if mode == "exhaustive":
         mu_p = mu.component(power)
-        triples = _encoded(families.power)
+        triples = _encoded(families)
         lifted = _images([1 << read(m) for m in families.mask])  # reads every entry
         law, checked, collapse = "monad-associativity[exhaustive]", len(triples.mask), partial(apply, mu_p)
-        lefts = [mu_at[families.mask[triples.position[apply(mu_p, triple)]]] for triple in triples.power]
-        rights = [mu_at[lifted[m]] for m in triples.mask]
-        witness = next((w for w in zip(triples.power, lefts, rights) if w[1] != w[2]), None)
+        sides = ((t, mu_at[_read(mu_p, triples, families, t)], mu_at[lifted[t]]) for t in triples.mask)
+        witness = next(((triples.atom(t), lhs, rhs) for t, lhs, rhs in sides if lhs != rhs), None)
     else:
         law, checked = f"monad-associativity[sampled,seed={seed},n={samples}]", samples
         collapse = lambda family: make_finite_set(g for members in family for g in members)
@@ -311,7 +366,7 @@ def check_associativity(
             if lhs is None or rhs is None:
                 lhs, rhs = read(union), read(image)
             if lhs != rhs and witness is None:
-                witness = make_finite_set(families.power.elements[j] for j in drawn), lhs, rhs
+                witness = make_finite_set(families.atom(families.mask[j]) for j in drawn), lhs, rhs
 
     if witness is None:
         return LawReport(law, show(space), checked)

@@ -7,6 +7,7 @@ import pytest
 from finmonad import finset, powerset
 from finmonad.finset import (
     FiniteFunction,
+    FiniteSet,
     atom_key,
     apply,
     compose,
@@ -34,6 +35,20 @@ from finmonad.powerset import (
     powerset_object,
 )
 from finmonad.render import show
+
+
+def assert_agrees_with_its_table(f):
+    """`f` and a copy rebuilt from its pairs are one arrow, read every way, and
+    `f` refuses the same atoms outside its domain."""
+    copy = FiniteFunction(f.domain, f.codomain, f.pairs)
+    for x in f.domain:
+        assert apply(f, x) == apply(copy, x)
+    assert f.pairs == copy.pairs and f.table == copy.table
+    assert f == copy and copy == f and hash(f) == hash(copy) and show(f) == show(copy)
+    for outside in (7, "a", make_finite_set(["outside"]), make_finite_set([make_finite_set(["outside"])])):
+        if outside not in f.domain:
+            with pytest.raises(NotInDomainError):
+                apply(f, outside)
 
 
 def bitmask_oracle(atoms):
@@ -101,6 +116,21 @@ def test_rendering_does_not_depend_on_cache_history():
         assert show(powerset_arrow(identity(space))) == "{" + ",".join(f"{s}->{s}" for s in subsets) + "}"
 
 
+def test_a_powerset_builds_its_atoms_on_first_read():
+    # each read on a fresh powerset object agrees with the same read on a set
+    # built eagerly from the same atoms; only the length needs no atoms
+    space = make_finite_set([3, "a", make_finite_set([2])])
+    eager = make_finite_set(make_finite_set(c) for n in range(4) for c in itertools.combinations(space, n))
+    lazy = powerset._PowerSet(space)
+    assert len(lazy) == len(eager) == 8
+    with pytest.raises(AttributeError):
+        FiniteSet.elements.__get__(lazy)  # not built by len
+    reads = (list, hash, show, repr, lambda s: s.sort_key, lambda s: s == eager, lambda s: eager == s,
+             lambda s: [x in s for x in (*eager, make_finite_set([4]), 3)])
+    for read in reads:
+        assert read(powerset._PowerSet(space)) == read(eager)
+
+
 def test_powerset_cap():
     with pytest.raises(PowersetTooLargeError):
         powerset_object(make_finite_set(range(17)))
@@ -142,6 +172,7 @@ def test_image_map_matches_its_definition():
                 image = apply(lifted, subset)
                 assert image in lifted.codomain
                 assert image.member_set == frozenset(apply(f, x) for x in subset)
+            assert_agrees_with_its_table(lifted)
 
 
 def test_functor_preserves_identity():
@@ -203,6 +234,8 @@ def test_unit_and_multiplication_match_their_definitions():
             union = apply(mu, family)
             assert union in mu.codomain
             assert union.member_set == frozenset().union(*(g.member_set for g in family))
+        assert_agrees_with_its_table(eta_component(space))
+        assert_agrees_with_its_table(mu)
 
 
 def test_unit_is_injective_up_to_size_four():
@@ -315,13 +348,15 @@ def test_sampled_associativity_refuses_fewer_than_one_sample(samples):
 
 
 def test_sampled_associativity_reads_mu_only_where_samples_land(monkeypatch):
+    # every component is read through powerset._read, from its index or by apply
     reads = []
+    read = powerset._read
 
-    def counting_apply(f, x):
+    def counting_read(f, dom, cod, m):
         reads.append(len(f.domain))
-        return apply(f, x)
+        return read(f, dom, cod, m)
 
-    monkeypatch.setattr(powerset, "apply", counting_apply)
+    monkeypatch.setattr(powerset, "_read", counting_read)
     assert check_associativity(make_finite_set(range(1, 5)), samples=100, seed=42).passed
     assert 0 < len(reads) < 1000, f"{len(reads)} reads of mu for 100 samples"
     reads.clear()
@@ -441,6 +476,31 @@ def test_exhaustive_associativity_composes_no_tables(monkeypatch):
     for transform in (ETA, MU):
         for report in naturality_sweep(transform, 2):
             assert report.passed, report.to_line()
+
+
+def test_exhaustive_associativity_builds_only_its_witness_atom(monkeypatch):
+    # Every FiniteSet constructed while the check and its recheck run, on cold
+    # caches; the lazy powerset objects themselves are not among them.
+    space = make_finite_set([1, 2])
+    built = []
+    construct = FiniteSet.__init__
+
+    def recording(self, elements=()):
+        built.append(elements)
+        construct(self, elements)
+
+    for mu, passes in ((MU, True), (corrupt_mu_at(space), False)):
+        for cache in (powerset._encoded, powerset_arrow, mu_component):
+            cache.cache_clear()
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(FiniteSet, "__init__", recording)
+            report = check_associativity(space, mode="exhaustive", mu=mu)
+            assert report.passed == passes and (passes or report.counterexample.recheck())
+        # the atoms of P(P(P(space))) that are not also atoms of P(P(space))
+        families = set(powerset_object(powerset_object(space)))
+        triples = {e for e in built if e and all(g in families for g in e) and FiniteSet(e) not in families}
+        assert triples == (set() if passes else {report.counterexample.value.elements}), report.to_line()
 
 
 def test_report_lines_follow_the_grammar():
