@@ -10,8 +10,8 @@ Sets keep their elements in one canonical sorted order, which makes equality
 of sets, functions, and nested subsets plain structural comparison. Some
 fields are filled on first use: a set's `member_set` and `sort_key`, an
 arrow's hash, and, in the powerset layer's private subclasses, a set's
-`elements` and hash and an arrow's `table`. Each fill computes a value fixed
-at construction, so threads that race to fill it store equal values.
+`elements` and hash and an arrow's `pairs` and `table`. Each fill computes a
+value fixed at construction, so threads that race to fill it store equal ones.
 """
 
 from __future__ import annotations
@@ -159,8 +159,10 @@ class FiniteFunction:
 
     `table` maps each domain element to its image and is the one copy of the
     data; `pairs` derives the (x, f(x)) entries from it, in canonical domain
-    order. Equality is categorical arrow identity: domain, codomain, and
-    table must all agree.
+    order. The powerset layer's index-backed arrows invert this: they keep
+    one `pairs` tuple, built on first read, and build `table` from it on its
+    own first read. Equality is categorical arrow identity: domain, codomain,
+    and table must all agree.
 
     The constructor trusts its input: one pair per domain element, in
     canonical domain order. Use `make_function` for validation.

@@ -144,8 +144,11 @@ def random_generators(instance: ContainerInstance, *, seed: int = 0, size: int =
 
     The same seed and size always give the same panels, so reports stay
     reproducible. The degenerate values are force-included up front, and the
-    function panels are shared with the defaults.
+    function panels are shared with the defaults. `size` is the number of
+    values and must be at least 2, the room those degenerate values need.
     """
+    if size < 2:
+        raise ValueError(f"random panels need a size of at least 2, not {size}")
     rng = random.Random(seed)
     draw = lambda: rng.randint(-100, 100)
 

@@ -89,15 +89,10 @@ class _PowerSet(FiniteSet):
         # reached only while `elements` and `_hash` are unset
         if name not in ("elements", "_hash"):
             raise AttributeError(name)
-        space, atoms = tuple(self.position), []
-
-        def walk(members: tuple, start: int) -> None:  # preorder is canonical order
-            atoms.append(FiniteSet(members))
-            for i in range(start, len(space)):
-                walk(members + (space[i],), i + 1)
-
-        walk((), 0)
-        self.elements = tuple(atoms)
+        members = [()]
+        for x in reversed(self.position):  # the doubling that orders `mask`
+            members[1:1] = [(x,) + t for t in members]
+        self.elements = tuple(map(FiniteSet, members))
         self._hash = hash(self.elements)
         return getattr(self, name)
 
@@ -127,10 +122,11 @@ def _images(bits) -> list[int]:
 
 class _Indexed(FiniteFunction):
     """The arrow that sends the subset of the domain with bitmask m to the subset
-    of the codomain with bitmask index[m]. Its table is built on first read;
-    `apply` maps one atom without it."""
+    of the codomain with bitmask index[m]. Its `pairs` are built on first read and
+    kept; its `table` is built from them on its own first read. `apply` maps one
+    atom without either."""
 
-    __slots__ = ("index",)
+    __slots__ = ("index", "pairs")
 
     def __init__(self, domain: _PowerSet, codomain: _PowerSet, index: list[int]):
         self.domain, self.codomain, self.index, self._hash = domain, codomain, index, None
@@ -139,12 +135,15 @@ class _Indexed(FiniteFunction):
         return self.codomain.atom(self.index[self.domain.mask_of(x)])
 
     def __getattr__(self, name: str):
-        # reached only while `table` is unset
-        if name != "table":
+        # reached only while `pairs` or `table` is unset
+        if name == "pairs":
+            atoms = {c: self.codomain.atom(c) for c in set(self.index)}
+            self.pairs = tuple(zip(self.domain.elements, [atoms[self.index[m]] for m in self.domain.mask]))
+        elif name == "table":
+            self.table = dict(self.pairs)
+        else:
             raise AttributeError(name)
-        atoms = {c: self.codomain.atom(c) for c in set(self.index)}
-        self.table = dict(zip(self.domain.elements, [atoms[self.index[m]] for m in self.domain.mask]))
-        return self.table
+        return getattr(self, name)
 
 
 def _read(f: FiniteFunction, dom: _PowerSet, cod: _PowerSet, m: int) -> int:

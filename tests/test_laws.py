@@ -178,6 +178,16 @@ def test_random_panels_are_reproducible():
         assert first == second
 
 
+def test_random_panels_refuse_sizes_below_two():
+    # size 2 is the smallest panel with room for the forced degenerate values;
+    # below it, panels came out short and an empty one passed every law vacuously
+    for instance in (LIST, OPTION, WRAP, MULTI_SHAPE):
+        for size in (-1, 0, 1):
+            with pytest.raises(ValueError, match="at least 2"):
+                random_generators(instance, size=size)
+        assert len(random_generators(instance, size=2).values) == 2
+
+
 def test_random_sweeps_agree_with_curated_verdicts():
     for instance in (LIST, OPTION, WRAP):
         reports = run_suite(instance, random_generators(instance, seed=11, size=150))

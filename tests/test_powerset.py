@@ -131,6 +131,13 @@ def test_a_powerset_builds_its_atoms_on_first_read():
         assert read(powerset._PowerSet(space)) == read(eager)
 
 
+def test_powerset_atoms_are_built_in_canonical_order():
+    nested = make_finite_set([3, "a", True, make_finite_set(), make_finite_set([make_finite_set([2])])])
+    for space in [make_finite_set(range(n)) for n in range(6)] + [nested]:
+        subsets = (make_finite_set(c) for n in range(len(space) + 1) for c in itertools.combinations(space, n))
+        assert powerset._PowerSet(space).elements == make_finite_set(subsets).elements
+
+
 def test_powerset_cap():
     with pytest.raises(PowersetTooLargeError):
         powerset_object(make_finite_set(range(17)))
@@ -236,6 +243,21 @@ def test_unit_and_multiplication_match_their_definitions():
             assert union.member_set == frozenset().union(*(g.member_set for g in family))
         assert_agrees_with_its_table(eta_component(space))
         assert_agrees_with_its_table(mu)
+
+
+def test_index_backed_arrows_keep_one_pairs_tuple():
+    # fresh, uncached mu and P(f): reading pairs or rendering builds no table
+    for n in range(4):
+        space = make_finite_set(range(1, n + 1))
+        arrows = [mu_component.__wrapped__(space)]
+        arrows += map(powerset_arrow.__wrapped__, enumerate_functions(space, space))
+        for arrow in arrows:
+            assert arrow.pairs is arrow.pairs
+            show(arrow)
+            with pytest.raises(AttributeError):
+                FiniteFunction.table.__get__(arrow)
+            assert arrow.table == dict(arrow.pairs)
+            assert_agrees_with_its_table(arrow)
 
 
 def test_unit_is_injective_up_to_size_four():
@@ -501,6 +523,26 @@ def test_exhaustive_associativity_builds_only_its_witness_atom(monkeypatch):
         families = set(powerset_object(powerset_object(space)))
         triples = {e for e in built if e and all(g in families for g in e) and FiniteSet(e) not in families}
         assert triples == (set() if passes else {report.counterexample.value.elements}), report.to_line()
+
+
+def test_mu_pairs_build_their_atoms_once(monkeypatch):
+    # a count of FiniteSets built, on cold caches, so the guard needs no timing
+    space = make_finite_set([1, 2, 3, 4])
+    built = []
+    construct = FiniteSet.__init__
+
+    def recording(self, elements=()):
+        built.append(elements)
+        construct(self, elements)
+
+    for cache in (powerset._encoded, powerset_arrow, mu_component):
+        cache.cache_clear()
+    monkeypatch.setattr(FiniteSet, "__init__", recording)
+    first = mu_component(space).pairs
+    # the atoms of P²(X), and P(X)'s twice: rendered as a cache key and as images
+    assert len(built) <= 65_536 + 2 * 16 + 1
+    built.clear()
+    assert mu_component(space).pairs is first and built == []
 
 
 def test_report_lines_follow_the_grammar():
