@@ -10,8 +10,9 @@ Sets keep their elements in one canonical sorted order, which makes equality
 of sets, functions, and nested subsets plain structural comparison. Some
 fields are filled on first use: a set's `member_set` and `sort_key`, an
 arrow's hash, and, in the powerset layer's private subclasses, a set's
-`elements` and hash and an arrow's `pairs` and `table`. Each fill computes a
-value fixed at construction, so threads that race to fill it store equal ones.
+`elements` and hash, a powerset's μ, and an arrow's `pairs` and `table`.
+Each fill computes a value fixed at construction, so threads that race to
+fill it store equal ones.
 """
 
 from __future__ import annotations

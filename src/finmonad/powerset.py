@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial, wraps
+from functools import lru_cache, partial
 from typing import Callable
 
 from .finset import (
@@ -44,31 +44,11 @@ class PowersetTooLargeError(FinsetError):
 # the functor, unit, and multiplication
 # ---------------------------------------------------------------------------
 
-def _cached_per_spelling(maxsize: int):
-    """`lru_cache`, keyed also on how the argument's atoms are spelled. True == 1,
-    so {False,True} == {0,1}: keyed on equality alone, a cache would answer both
-    spellings with whichever it built first, and report lines would depend on
-    cache history. An arrow's atoms are spelled by its domain and codomain."""
-
-    def decorate(fn):
-        cached = lru_cache(maxsize=maxsize)(lambda arg, spelling: fn(arg))
-
-        @wraps(fn)
-        def call(arg):
-            ends = (arg,) if isinstance(arg, FiniteSet) else (arg.domain, arg.codomain)
-            return cached(arg, tuple(map(show, ends)))
-
-        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-        return call
-
-    return decorate
-
-
 class _PowerSet(FiniteSet):
-    """P(space), its atoms built on first read. Each subset is also a bitmask over
-    the positions of `space`, so images and unions are ORs of ints."""
+    """P(space), its atoms and its μ built on first read. Each subset is also a
+    bitmask over the positions of `space`, so images and unions are ORs of ints."""
 
-    __slots__ = ("mask", "position")  # mask[i] is the bitmask of elements[i]
+    __slots__ = ("mask", "position", "union")  # mask[i] is the bitmask of elements[i]
 
     def __init__(self, space: FiniteSet):
         n = len(space)
@@ -86,7 +66,10 @@ class _PowerSet(FiniteSet):
         return len(self.mask)
 
     def __getattr__(self, name: str):
-        # reached only while `elements` and `_hash` are unset
+        # reached only while `elements` and `_hash`, or `union`, are unset
+        if name == "union":  # μ at `space`: a family of subsets maps to its union
+            self.union = _Indexed(powerset_object(self), self, _images(self.mask))
+            return self.union
         if name not in ("elements", "_hash"):
             raise AttributeError(name)
         members = [()]
@@ -105,11 +88,6 @@ class _PowerSet(FiniteSet):
         if not isinstance(subset, FiniteSet) or not all(x in self.position for x in subset):
             raise NotInDomainError(f"{subset!r} is not an element of {self!r}")
         return sum(1 << self.position[x] for x in subset)
-
-
-@_cached_per_spelling(maxsize=64)
-def _encoded(space: FiniteSet) -> _PowerSet:
-    return _PowerSet(space)
 
 
 def _images(bits) -> list[int]:
@@ -157,26 +135,32 @@ def _read(f: FiniteFunction, dom: _PowerSet, cod: _PowerSet, m: int) -> int:
 
 def powerset_object(space: FiniteSet) -> FiniteSet:
     """P(space): the set of all 2^|space| subsets, canonically ordered."""
-    return _encoded(space)
+    return _powerset_per_spelling(space, show(space))
 
 
-@_cached_per_spelling(maxsize=128)
+@lru_cache(maxsize=64)
+def _powerset_per_spelling(space: FiniteSet, spelling: str) -> _PowerSet:
+    """The one powerset cache, keyed also on how `space`'s atoms are spelled. True
+    == 1, so {False,True} == {0,1}: keyed on equality alone, it would answer both
+    spellings with whichever it built first, and report lines would depend on
+    cache history."""
+    return _PowerSet(space)
+
+
 def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
     """P(f): sends each subset of f's domain to its image under f."""
-    dom, cod = _encoded(f.domain), _encoded(f.codomain)
+    dom, cod = powerset_object(f.domain), powerset_object(f.codomain)
     return _Indexed(dom, cod, _images([1 << cod.position[apply(f, x)] for x in f.domain]))
 
 
 def eta_component(space: FiniteSet) -> FiniteFunction:
     """The unit at `space`: x maps to the singleton subset {x}."""
-    return FiniteFunction(space, _encoded(space), ((x, FiniteSet((x,))) for x in space))
+    return FiniteFunction(space, powerset_object(space), ((x, FiniteSet((x,))) for x in space))
 
 
-@_cached_per_spelling(maxsize=64)
 def mu_component(space: FiniteSet) -> FiniteFunction:
     """The multiplication at `space`: a family of subsets maps to its union."""
-    subsets = _encoded(space)
-    return _Indexed(_encoded(subsets), subsets, _images(subsets.mask))
+    return powerset_object(space).union
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +268,7 @@ def check_unit_laws(
     """
     power = powerset_object(space)
     mu_x = mu.component(space)
-    families = _encoded(power)
+    families = powerset_object(power)
     law, subject = "monad-unit[exhaustive]", show(space)
     witness = None
     for eta_at, label in (
@@ -329,7 +313,7 @@ def check_associativity(
 
     power = powerset_object(space)
     mu_x = mu.component(space)
-    families = _encoded(power)
+    families = powerset_object(power)
     rank = {m: i for i, m in enumerate(power.mask)}
 
     # The handed mu_x, read at a family the first time it is needed: mu_at[m] is the
@@ -344,7 +328,7 @@ def check_associativity(
 
     if mode == "exhaustive":
         mu_p = mu.component(power)
-        triples = _encoded(families)
+        triples = powerset_object(families)
         lifted = _images([1 << read(m) for m in families.mask])  # reads every entry
         law, checked, collapse = "monad-associativity[exhaustive]", len(triples.mask), partial(apply, mu_p)
         sides = ((t, mu_at[_read(mu_p, triples, families, t)], mu_at[lifted[t]]) for t in triples.mask)

@@ -113,6 +113,12 @@ def test_rendering_does_not_depend_on_cache_history():
         power = "{" + ",".join(subsets) + "}"
         assert show(powerset_object(space)) == power
         assert show(mu_component(space).codomain) == power
+        # mu itself, against one built eagerly from this spelling's atoms
+        atoms = [make_finite_set(c) for n in range(3) for c in itertools.combinations(space, n)]
+        families = [make_finite_set(c) for n in range(5) for c in itertools.combinations(atoms, n)]
+        eager = make_function(make_finite_set(families), make_finite_set(atoms),
+                              {g: make_finite_set(x for s in g for x in s) for g in families})
+        assert show(mu_component(space)) == show(eager)
         assert show(powerset_arrow(identity(space))) == "{" + ",".join(f"{s}->{s}" for s in subsets) + "}"
 
 
@@ -246,11 +252,12 @@ def test_unit_and_multiplication_match_their_definitions():
 
 
 def test_index_backed_arrows_keep_one_pairs_tuple():
-    # fresh, uncached mu and P(f): reading pairs or rendering builds no table
+    # fresh mu (on a cleared cache) and P(f): reading pairs or rendering builds no table
     for n in range(4):
         space = make_finite_set(range(1, n + 1))
-        arrows = [mu_component.__wrapped__(space)]
-        arrows += map(powerset_arrow.__wrapped__, enumerate_functions(space, space))
+        powerset._powerset_per_spelling.cache_clear()
+        arrows = [mu_component(space)]
+        arrows += map(powerset_arrow, enumerate_functions(space, space))
         for arrow in arrows:
             assert arrow.pairs is arrow.pairs
             show(arrow)
@@ -484,16 +491,16 @@ def test_exhaustive_associativity_consumes_the_outer_component():
 
 def test_exhaustive_associativity_composes_no_tables(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a table was composed or built as an identity")
+        raise AssertionError("a table was composed, built as an identity or lifted by P")
 
     monkeypatch.setattr(finset, "compose", refuse)
     monkeypatch.setattr(finset, "identity", refuse)
     assert not hasattr(powerset, "compose") and not hasattr(powerset, "identity")
     space = make_finite_set([1, 2])
     assert check_unit_laws(space).passed
-    misses = powerset_arrow.cache_info().misses
-    report = check_associativity(space, mode="exhaustive", mu=MU)
-    assert powerset_arrow.cache_info().misses == misses
+    with monkeypatch.context() as patch:
+        patch.setattr(powerset, "powerset_arrow", refuse)
+        report = check_associativity(space, mode="exhaustive", mu=MU)
     assert report.passed and report.checked == 65536
     for transform in (ETA, MU):
         for report in naturality_sweep(transform, 2):
@@ -512,8 +519,7 @@ def test_exhaustive_associativity_builds_only_its_witness_atom(monkeypatch):
         construct(self, elements)
 
     for mu, passes in ((MU, True), (corrupt_mu_at(space), False)):
-        for cache in (powerset._encoded, powerset_arrow, mu_component):
-            cache.cache_clear()
+        powerset._powerset_per_spelling.cache_clear()
         built.clear()
         with monkeypatch.context() as patch:
             patch.setattr(FiniteSet, "__init__", recording)
@@ -535,14 +541,32 @@ def test_mu_pairs_build_their_atoms_once(monkeypatch):
         built.append(elements)
         construct(self, elements)
 
-    for cache in (powerset._encoded, powerset_arrow, mu_component):
-        cache.cache_clear()
+    powerset._powerset_per_spelling.cache_clear()
     monkeypatch.setattr(FiniteSet, "__init__", recording)
     first = mu_component(space).pairs
     # the atoms of P²(X), and P(X)'s twice: rendered as a cache key and as images
     assert len(built) <= 65_536 + 2 * 16 + 1
+    # an equal space built elsewhere shares the cached P(X), and so its mu
+    equal = make_finite_set(range(1, 5))
     built.clear()
-    assert mu_component(space).pairs is first and built == []
+    assert equal is not space and mu_component(equal).pairs is first and built == []
+
+
+def test_naturality_sweeps_build_no_lifted_tables(monkeypatch):
+    # P(f) is built per call and never hashed, so nothing reads its pairs or table
+    requested = []
+    lazy_field = powerset._Indexed.__getattr__
+
+    def recording(self, name):
+        requested.append(name)
+        return lazy_field(self, name)
+
+    powerset._powerset_per_spelling.cache_clear()
+    monkeypatch.setattr(powerset._Indexed, "__getattr__", recording)
+    for transform in (ETA, MU):
+        for report in naturality_sweep(transform, 2):
+            assert report.passed, report.to_line()
+    assert "table" not in requested and "pairs" not in requested
 
 
 def test_report_lines_follow_the_grammar():
@@ -567,6 +591,26 @@ def test_sampled_associativity_witness_is_pinned():
         "witness={{{},{1}},{{1},{1,2}}} [mu∘mu_P,mu∘P(mu)] lhs={1,2} rhs={1}"
     )
     assert report.counterexample.recheck()
+
+
+def test_sampled_associativity_assumes_union_at_the_outer_powerset():
+    # mu(F) = {} if {} in F, else the union of F: a lawful monad (the nonempty
+    # powerset with {} as an absorbing error). Sampled mode takes mu at P(X) to
+    # be union, so it FAILs this monad at {1,2,3}, at every seed from 0 to 9.
+    empty = make_finite_set()
+
+    def absorbing(space):
+        union = mu_component(space)
+        pairs = ((family, empty if empty in family else u) for family, u in union.pairs)
+        return FiniteFunction(union.domain, union.codomain, pairs)
+
+    mu = NatTransform("mu-absorbing", MU.source, MU.target, absorbing)
+    for n in range(4):
+        assert check_unit_laws(make_finite_set(range(1, n + 1)), mu=mu).passed
+    assert check_associativity(make_finite_set([1, 2]), mu=mu).passed
+    for seed in range(10):
+        report = check_associativity(make_finite_set([1, 2, 3]), seed=seed, mu=mu)
+        assert not report.passed and empty in report.counterexample.value, report.to_line()
 
 
 def test_sampled_associativity_kills_a_stride_of_single_point_mutants():
