@@ -3,10 +3,9 @@ exhaustive checkers for naturality and the monad coherence diagrams.
 
 The functor P sends a set to the set of its subsets and an arrow to its image
 map. The unit wraps an element into a singleton subset; the multiplication
-collapses a family of subsets into its union. The checkers below verify, by
-comparing both sides at every element wherever the spaces can be enumerated,
-that these really do form a monad: both unit triangles and the associativity
-square commute at every component checked.
+collapses a family of subsets into its union. The checkers verify the monad
+laws, each an equation between two composites of arrows, by comparing both
+composites on codes: a subset's bitmask in a powerset, any other atom's position.
 
 Space sizes grow as 2^2^...^|X|, so exhaustive checking is only attempted
 within explicit caps; past them the associativity checker switches to seeded
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
 from typing import Callable
 
 from .finset import (
@@ -31,7 +30,7 @@ from .finset import (
     make_finite_set,
 )
 from .render import show
-from .reports import Counterexample, LawReport, sweep
+from .reports import Counterexample, LawReport
 
 POWERSET_CAP = 16
 
@@ -124,15 +123,6 @@ class _Indexed(FiniteFunction):
         return getattr(self, name)
 
 
-def _read(f: FiniteFunction, dom: _PowerSet, cod: _PowerSet, m: int) -> int:
-    """The bitmask in `cod` of f's image of the subset with bitmask m in `dom`.
-    An `_Indexed` arrow is read from its index; any other is applied to that one
-    atom, so a hand-built table is what gets checked."""
-    if isinstance(f, _Indexed):
-        return f.index[m]
-    return cod.mask_of(apply(f, dom.atom(m)))
-
-
 def powerset_object(space: FiniteSet) -> FiniteSet:
     """P(space): the set of all 2^|space| subsets, canonically ordered."""
     return _powerset_per_spelling(space, show(space))
@@ -219,36 +209,68 @@ MU = NatTransform("mu", POWERSET_SQUARED, POWERSET, mu_component)
 # checkers
 # ---------------------------------------------------------------------------
 
-def _naturality_cases(transform: NatTransform, f: FiniteFunction):
-    at_dom, at_cod = transform.component(f.domain), transform.component(f.codomain)
-    source_f, target_f = transform.source.on_arrow(f), transform.target.on_arrow(f)
-    return (
-        (x, (), lambda x=x: (apply(target_f, apply(at_dom, x)), apply(at_cod, apply(source_f, x))))
-        for x in at_dom.domain
-    )
+def _coding(space: FiniteSet):
+    """The codes of `space` in canonical order, the atom with a given code, and the
+    code of an atom: in a powerset a subset's bitmask, elsewhere a position."""
+    if isinstance(space, _PowerSet):
+        return space.mask, space.atom, space.mask_of
+    return range(len(space)), space.elements.__getitem__, space.elements.index
+
+
+def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> Callable[[int], int]:
+    """f as a map from the codes of `dom` to those of `cod`, the checker's own
+    objects. An `_Indexed` arrow is read from its index, any other through `apply`
+    one code at a time on first use: a hand-built table is what gets checked."""
+    if isinstance(f, _Indexed):
+        return f.index.__getitem__
+    atom, code = _coding(dom)[1], _coding(cod)[2]
+    return cache(lambda c: code(apply(f, atom(c))))
+
+
+def _compare(dom: FiniteSet, cod: FiniteSet, lhs, rhs, labels, replay) -> Counterexample | None:
+    """Compare two composites, each a sequence of maps on codes applied first to last
+    from `dom` into `cod`, at every code of `dom` in canonical order. The first
+    difference becomes atoms, with `replay(witness)` to recompute both sides; else None."""
+    codes, atom = _coding(dom)[:2]
+    sides = (reduce(lambda side, m: map(m, side), maps, codes) for maps in (lhs, rhs))
+    for c, left, right in zip(codes, *sides):
+        if left != right:
+            value, cod_atom = atom(c), _coding(cod)[1]
+            return Counterexample(value, cod_atom(left), cod_atom(right), labels, partial(replay, value))
+    return None
+
+
+def _naturality(transform: NatTransform, subject: str, dom: FiniteSet, cod: FiniteSet, arrows) -> LawReport:
+    """One report on the squares target(f) ∘ component(dom) = component(cod) ∘ source(f)
+    of `transform`, on all of source(dom), for each f in the list `arrows` from `dom`
+    to `cod`. The objects and both components are read once."""
+    source, target = transform.source, transform.target
+    s_dom, s_cod = source.on_object(dom), source.on_object(cod)
+    t_dom, t_cod = target.on_object(dom), target.on_object(cod)
+    at_dom, at_cod = transform.component(dom), transform.component(cod)
+    codes_dom, codes_cod = _codes(at_dom, s_dom, t_dom), _codes(at_cod, s_cod, t_cod)
+    witness = None
+    for f in arrows:
+        source_f, target_f = source.on_arrow(f), target.on_arrow(f)
+        lhs, rhs = (codes_dom, _codes(target_f, t_dom, t_cod)), (_codes(source_f, s_dom, s_cod), codes_cod)
+        witness = witness or _compare(s_dom, t_cod, lhs, rhs, (), lambda x, s=source_f, t=target_f: (
+            apply(t, apply(at_dom, x)), apply(at_cod, apply(s, x))))
+    return LawReport(f"naturality[{transform.name}]", subject, len(s_dom) * len(arrows), witness)
 
 
 def check_naturality(transform: NatTransform, f: FiniteFunction) -> LawReport:
-    """Verify the naturality square of `transform` at the arrow `f`.
-
-    Concretely: target(f) ∘ component(dom f) must equal
-    component(cod f) ∘ source(f) at every element of source(dom f).
-    """
-    return sweep(f"naturality[{transform.name}]", show(f), _naturality_cases(transform, f))
+    """Verify the naturality square of `transform` at the arrow `f`."""
+    return _naturality(transform, show(f), f.domain, f.codomain, [f])
 
 
 def naturality_sweep(transform: NatTransform, max_size: int) -> list[LawReport]:
     """Check naturality against every arrow between integer carriers of each
     size up to `max_size`, one aggregated report per ordered size pair."""
-    law = f"naturality[{transform.name}]"
-    reports = []
-    for a in range(max_size + 1):
-        for b in range(max_size + 1):
-            dom = make_finite_set(range(1, a + 1))
-            cod = make_finite_set(range(1, b + 1))
-            cases = (case for f in enumerate_functions(dom, cod) for case in _naturality_cases(transform, f))
-            reports.append(sweep(law, f"{show(dom)}->{show(cod)}", cases))
-    return reports
+    carriers = [make_finite_set(range(1, n + 1)) for n in range(max_size + 1)]
+    return [
+        _naturality(transform, f"{show(dom)}->{show(cod)}", dom, cod, list(enumerate_functions(dom, cod)))
+        for dom in carriers for cod in carriers
+    ]
 
 
 def check_unit_laws(
@@ -269,18 +291,15 @@ def check_unit_laws(
     power = powerset_object(space)
     mu_x = mu.component(space)
     families = powerset_object(power)
-    law, subject = "monad-unit[exhaustive]", show(space)
-    witness = None
+    codes_mu, witness = _codes(mu_x, families, power), None
     for eta_at, label in (
         (eta.component(power), "mu∘eta_P"),
         (powerset_arrow(eta.component(space)), "mu∘P(eta)"),
     ):
-        # both sides on bitmasks first; only the subsets where they differ become atoms
-        round_trips = (_read(mu_x, families, power, _read(eta_at, power, families, m)) for m in power.mask)
-        fails = (power.atom(m) for m, back in zip(power.mask, round_trips) if back != m)
-        cases = ((s, (label,), lambda s=s, eta_at=eta_at: (apply(mu_x, apply(eta_at, s)), s)) for s in fails)
-        witness = witness or sweep(law, subject, cases).counterexample
-    return LawReport(law, subject, len(mu_x.domain), witness)
+        lhs = (_codes(eta_at, power, families), codes_mu)
+        replay = lambda s, eta_at=eta_at: (apply(mu_x, apply(eta_at, s)), s)
+        witness = witness or _compare(power, power, lhs, (), (label,), replay)
+    return LawReport("monad-unit[exhaustive]", show(space), len(mu_x.domain), witness)
 
 
 def check_associativity(
@@ -300,9 +319,8 @@ def check_associativity(
     one more at odds 1/2 (mean size 2, members may repeat), and take mu at
     P(space) to be union. They read the handed mu at `space` only where their
     samples reach, so cost follows `samples` (at least 1), not |P(P(space))|.
-    Both modes compare bitmasks: a handed component made by this module is read
-    through its index, any other by `apply`, and only a witness becomes an
-    atom. The law name records the mode, seed and sample count.
+    Both modes read each handed component through `_codes` and build atoms only
+    for a witness. The law name records the mode, seed and sample count.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -314,52 +332,34 @@ def check_associativity(
     power = powerset_object(space)
     mu_x = mu.component(space)
     families = powerset_object(power)
-    rank = {m: i for i, m in enumerate(power.mask)}
+    mu_p = mu.component(power) if mode == "exhaustive" else None
+    codes_mu, labels = _codes(mu_x, families, power), ("mu∘mu_P", "mu∘P(mu)")
 
-    # The handed mu_x, read at a family the first time it is needed: mu_at[m] is the
-    # position in P(space) of its value at the family with bitmask m, None until read.
-    # P(mu_x) sends families to the OR of their members' lifts, 1 << mu_at[mask].
-    mu_at, witness = [None] * len(families.mask), None
+    def replay(value):
+        # both sides again from the atoms: mu at P(space) as handed, or as union when
+        # sampling, and P(mu_x) by its definition
+        outer = make_finite_set(s for family in value for s in family) if mu_p is None else apply(mu_p, value)
+        return apply(mu_x, outer), apply(mu_x, make_finite_set(apply(mu_x, g) for g in value))
 
-    def read(m: int) -> int:
-        if mu_at[m] is None:
-            mu_at[m] = rank[_read(mu_x, families, power, m)]
-        return mu_at[m]
-
+    # P(mu_x) sends a family to the OR of its members' lifts, 1 << the position of mu_x(member)
     if mode == "exhaustive":
-        mu_p = mu.component(power)
         triples = powerset_object(families)
-        lifted = _images([1 << read(m) for m in families.mask])  # reads every entry
-        law, checked, collapse = "monad-associativity[exhaustive]", len(triples.mask), partial(apply, mu_p)
-        sides = ((t, mu_at[_read(mu_p, triples, families, t)], mu_at[lifted[t]]) for t in triples.mask)
-        witness = next(((triples.atom(t), lhs, rhs) for t, lhs, rhs in sides if lhs != rhs), None)
-    else:
-        law, checked = f"monad-associativity[sampled,seed={seed},n={samples}]", samples
-        collapse = lambda family: make_finite_set(g for members in family for g in members)
-        rng = random.Random(seed)
-        lift = [None] * len(families.mask)  # by draw position, filled as members are drawn
-        for _ in range(samples):
-            drawn, union, image = [], 0, 0
-            while not drawn or rng.random() < 0.5:  # one member, then one more at odds 1/2
-                drawn.append(j := rng.randrange(len(lift)))
-                if lift[j] is None:
-                    lift[j] = 1 << read(families.mask[j])
-                union, image = union | families.mask[j], image | lift[j]
-            lhs, rhs = mu_at[union], mu_at[image]
-            if lhs is None or rhs is None:
-                lhs, rhs = read(union), read(image)
-            if lhs != rhs and witness is None:
-                witness = make_finite_set(families.atom(families.mask[j]) for j in drawn), lhs, rhs
+        lifted = _images([1 << power.mask.index(codes_mu(m)) for m in families.mask])  # reads every entry
+        lhs, rhs = (_codes(mu_p, triples, families), codes_mu), (lifted.__getitem__, codes_mu)
+        witness = _compare(triples, power, lhs, rhs, labels, replay)
+        return LawReport("monad-associativity[exhaustive]", show(space), len(triples.mask), witness)
 
-    if witness is None:
-        return LawReport(law, show(space), checked)
-    value, lhs, rhs = witness
-
-    def replay():
-        # both sides again from the atoms, with P(mu_x) taken by its definition
-        image = make_finite_set(apply(mu_x, g) for g in value)
-        return apply(mu_x, collapse(value)), apply(mu_x, image)
-
-    labels = ("mu∘mu_P", "mu∘P(mu)")
-    cx = Counterexample(value, power.elements[lhs], power.elements[rhs], labels, replay)
-    return LawReport(law, show(space), checked, cx)
+    rng, witness = random.Random(seed), None
+    lift = [None] * len(families.mask)  # by draw position, filled as members are drawn
+    for _ in range(samples):
+        drawn, union, image = [], 0, 0
+        while not drawn or rng.random() < 0.5:  # one member, then one more at odds 1/2
+            drawn.append(j := rng.randrange(len(lift)))
+            if lift[j] is None:
+                lift[j] = 1 << power.mask.index(codes_mu(families.mask[j]))
+            union, image = union | families.mask[j], image | lift[j]
+        lhs, rhs = codes_mu(union), codes_mu(image)
+        if lhs != rhs and witness is None:
+            value = make_finite_set(families.atom(families.mask[j]) for j in drawn)
+            witness = Counterexample(value, power.atom(lhs), power.atom(rhs), labels, partial(replay, value))
+    return LawReport(f"monad-associativity[sampled,seed={seed},n={samples}]", show(space), samples, witness)

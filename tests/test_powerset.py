@@ -305,8 +305,8 @@ def test_unit_naturality_up_to_size_three():
         assert report.passed, report.to_line()
 
 
-def test_multiplication_naturality_up_to_size_two():
-    for report in naturality_sweep(MU, 2):
+def test_multiplication_naturality_up_to_size_three():
+    for report in naturality_sweep(MU, 3):
         assert report.passed, report.to_line()
 
 
@@ -377,20 +377,23 @@ def test_sampled_associativity_refuses_fewer_than_one_sample(samples):
 
 
 def test_sampled_associativity_reads_mu_only_where_samples_land(monkeypatch):
-    # every component is read through powerset._read, from its index or by apply
+    # a hand-built copy of mu is read through apply, one FiniteFunction._image call a read
     reads = []
-    read = powerset._read
+    image = FiniteFunction._image
+    monkeypatch.setattr(FiniteFunction, "_image", lambda f, x: reads.append((f, x)) or image(f, x))
 
-    def counting_read(f, dom, cod, m):
-        reads.append(len(f.domain))
-        return read(f, dom, cod, m)
+    def reads_of_a_copy(space, **kwargs):
+        honest = mu_component(space)
+        copy = FiniteFunction(honest.domain, honest.codomain, honest.pairs)
+        mu = NatTransform("mu-copy", MU.source, MU.target, lambda at: copy if at == space else mu_component(at))
+        reads.clear()
+        assert check_associativity(space, mu=mu, **kwargs).passed
+        return [x for f, x in reads if f is copy]
 
-    monkeypatch.setattr(powerset, "_read", counting_read)
-    assert check_associativity(make_finite_set(range(1, 5)), samples=100, seed=42).passed
-    assert 0 < len(reads) < 1000, f"{len(reads)} reads of mu for 100 samples"
-    reads.clear()
-    assert check_associativity(make_finite_set([1, 2]), mode="exhaustive").passed
-    assert reads.count(16) == 16  # every entry of mu at {1,2}; the rest are of mu at P({1,2})
+    sampled = reads_of_a_copy(make_finite_set(range(1, 5)), samples=100, seed=42)
+    assert 0 < len(sampled) < 1000, f"{len(sampled)} reads of mu for 100 samples"
+    exhaustive = reads_of_a_copy(make_finite_set([1, 2]), mode="exhaustive")
+    assert len(exhaustive) == len(set(exhaustive)) == 16  # every entry of mu at {1,2}, each once
 
 
 def test_associativity_exhaustive_mode_refuses_size_three():
@@ -474,6 +477,74 @@ def test_corrupted_multiplication_fails_naturality_with_witness():
         "FAIL naturality[mu-corrupted] @ {1,2}->{1,2} witness={{1},{1,2}} lhs={} rhs={1}",
     ]
     assert all(report.counterexample.recheck() for report in failures)
+    broken_mu = corrupt_mu_at(make_finite_set([1, 2, 3]))
+    failures = [report for report in naturality_sweep(broken_mu, 3) if not report.passed]
+    assert [report.to_line() for report in failures] == [
+        "FAIL naturality[mu-corrupted] @ {1,2}->{1,2,3} witness={{1},{1,2}} lhs={1,2} rhs={}",
+        "FAIL naturality[mu-corrupted] @ {1,2,3}->{1} witness={{1},{1,2}} lhs={} rhs={1}",
+        "FAIL naturality[mu-corrupted] @ {1,2,3}->{1,2} witness={{1},{1,2}} lhs={} rhs={1}",
+        "FAIL naturality[mu-corrupted] @ {1,2,3}->{1,2,3} witness={{1},{1,2}} lhs={} rhs={1}",
+    ]
+    assert all(report.counterexample.recheck() for report in failures)
+
+
+def test_components_on_separately_built_powersets_give_the_same_lines():
+    # a hand-built mu whose endpoints equal P(P(X)) and P(X) but are plain sets
+    # built apart from the cached powersets: same lines as on the cached ones
+    space = make_finite_set([1, 2])
+    cached = corrupt_mu_at(space)
+    mu = cached.component(space)
+    apart = FiniteFunction(make_finite_set(list(mu.domain)), make_finite_set(list(mu.codomain)), mu.pairs)
+    assert apart.domain == mu.domain and not isinstance(apart.domain, powerset._PowerSet)
+    rebuilt = NatTransform("mu-corrupted", MU.source, MU.target,
+                           lambda at: apart if at == space else mu_component(at))
+    lines = []
+    for transform in (cached, rebuilt):
+        reports = [check_associativity(space, mode="exhaustive", mu=transform)]
+        reports.append(check_unit_laws(space, mu=transform))
+        reports += [report for report in naturality_sweep(transform, 2) if not report.passed]
+        assert all(report.passed or report.counterexample.recheck() for report in reports)
+        lines.append([report.to_line() for report in reports])
+    assert lines[0] == lines[1] == [
+        "FAIL monad-associativity[exhaustive] @ {1,2} "
+        "witness={{},{{}},{{},{1}},{{1}},{{1},{1,2}}} [mu∘mu_P,mu∘P(mu)] lhs={1,2} rhs={1}",
+        "PASS monad-unit[exhaustive] @ {1,2} checked=16",
+        "FAIL naturality[mu-corrupted] @ {1,2}->{1} witness={{1},{1,2}} lhs={} rhs={1}",
+        "FAIL naturality[mu-corrupted] @ {1,2}->{1,2} witness={{1},{1,2}} lhs={} rhs={1}",
+    ]
+
+
+def test_every_single_point_mutant_at_size_two_is_counted():
+    # The mutation matrix at {1,2}: every single-point corruption of mu (16
+    # families x 3 wrong values) and of eta (2 elements x 3 wrong values), with
+    # the kills of each check; every failing report must recheck.
+    space = make_finite_set([1, 2])
+    honest_mu, honest_eta = mu_component(space), eta_component(space)
+
+    def corrupted(transform, honest, x, wrong):
+        table = FiniteFunction(honest.domain, honest.codomain, {**honest.table, x: wrong}.items())
+        return NatTransform(transform.name, transform.source, transform.target,
+                            lambda at: table if at == space else transform.component_at(at))
+
+    def mutants(transform, honest):
+        return [corrupted(transform, honest, x, wrong)
+                for x, right in honest.pairs for wrong in honest.codomain if wrong != right]
+
+    def kills(check, transforms):
+        killed = 0
+        for transform in transforms:
+            failures = [report for report in check(transform) if not report.passed]
+            assert all(report.counterexample.recheck() for report in failures), failures[0].to_line()
+            killed += bool(failures)
+        return killed
+
+    mus, etas = mutants(MU, honest_mu), mutants(ETA, honest_eta)
+    assert (len(mus), len(etas)) == (48, 6)
+    sweep_at_two = lambda transform: naturality_sweep(transform, 2)
+    assert kills(lambda mu: [check_associativity(space, mode="exhaustive", mu=mu)], mus) == 48
+    assert kills(sweep_at_two, mus) == 48 and kills(sweep_at_two, etas) == 6
+    assert kills(lambda mu: [check_unit_laws(space, mu=mu)], mus) == 18
+    assert kills(lambda eta: [check_unit_laws(space, eta=eta)], etas) == 6
 
 
 def test_exhaustive_associativity_consumes_the_outer_component():
