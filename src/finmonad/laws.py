@@ -7,6 +7,11 @@ and a failing law reports the first failing panel entry as a replayable
 counterexample. Panels are ordered smallest-first and include the degenerate
 cases (empty list, NOTHING, zero). For larger sweeps, `random_generators`
 builds seeded random panels with the same determinism guarantee.
+
+Each law is one `sides` function handed to `reports.sweep` with its values
+and its panel of `(labels, *args)` entries. A sweep stops at the first
+failing case and evaluates a repeated value once, but its `checked` still
+counts every value times every panel entry.
 """
 
 from __future__ import annotations
@@ -190,71 +195,38 @@ def random_generators(instance: ContainerInstance, *, seed: int = 0, size: int =
 def check_functor_laws(instance: ContainerInstance, gen: Generators) -> list[LawReport]:
     """The two functor axioms: map(id) is the identity, and mapping a
     composite equals mapping in stages."""
-
-    def identity_cases():
-        for m in gen.values:
-            yield m, (), lambda m=m: (instance.map(_identity, m), m)
-
-    def composition_cases():
-        pairs = [
-            ((f_label, g_label), f, g, lambda x, f=f, g=g: f(g(x)))
-            for f_label, f in gen.functions
-            for g_label, g in gen.functions
-        ]
-        for m in gen.values:
-            for labels, f, g, composed in pairs:
-                yield m, labels, lambda m=m, f=f, g=g, c=composed: (
-                    instance.map(c, m),
-                    instance.map(f, instance.map(g, m)),
-                )
-
+    identity = lambda m: (instance.map(_identity, m), m)
+    composition = lambda m, f, g: (instance.map(lambda x: f(g(x)), m), instance.map(f, instance.map(g, m)))
+    composites = [((f_label, g_label), f, g) for f_label, f in gen.functions for g_label, g in gen.functions]
     return [
-        sweep("functor-identity", instance.name, identity_cases()),
-        sweep("functor-composition", instance.name, composition_cases()),
+        sweep("functor-identity", instance.name, identity, gen.values, [((),)]),
+        sweep("functor-composition", instance.name, composition, gen.values, composites),
     ]
 
 
 def check_monad_laws(instance: ContainerInstance, gen: Generators) -> list[LawReport]:
     """The three monad laws: unit is a left and right identity for bind, and
     bind associates."""
-
-    def left_identity_cases():
-        for x in gen.elements:
-            for label, k in gen.kleisli:
-                yield x, (label,), lambda x=x, k=k: (instance.bind(instance.unit(x), k), k(x))
-
-    def right_identity_cases():
-        for m in gen.values:
-            yield m, ("unit",), lambda m=m: (instance.bind(m, instance.unit), m)
-
-    def associativity_cases():
-        pairs = [((k_label, h_label), k, h) for k_label, k in gen.kleisli for h_label, h in gen.kleisli]
-        for m in gen.values:
-            for labels, k, h in pairs:
-                yield m, labels, lambda m=m, k=k, h=h: (
-                    instance.bind(instance.bind(m, k), h),
-                    instance.bind(m, lambda x: instance.bind(k(x), h)),
-                )
-
+    left = lambda x, k: (instance.bind(instance.unit(x), k), k(x))
+    right = lambda m: (instance.bind(m, instance.unit), m)
+    assoc = lambda m, k, h: (
+        instance.bind(instance.bind(m, k), h),
+        instance.bind(m, lambda x: instance.bind(k(x), h)),
+    )
+    kleisli = [((label,), k) for label, k in gen.kleisli]
+    pairs = [((k_label, h_label), k, h) for k_label, k in gen.kleisli for h_label, h in gen.kleisli]
     return [
-        sweep("monad-left-identity", instance.name, left_identity_cases()),
-        sweep("monad-right-identity", instance.name, right_identity_cases()),
-        sweep("monad-associativity", instance.name, associativity_cases()),
+        sweep("monad-left-identity", instance.name, left, gen.elements, kleisli),
+        sweep("monad-right-identity", instance.name, right, gen.values, [(("unit",),)]),
+        sweep("monad-associativity", instance.name, assoc, gen.values, pairs),
     ]
 
 
 def check_bind_join_coherence(instance: ContainerInstance, gen: Generators) -> LawReport:
     """bind must agree with join-after-map, even when it is overridden."""
-
-    def cases():
-        for m in gen.values:
-            for label, k in gen.kleisli:
-                yield m, (label,), lambda m=m, k=k: (
-                    instance.bind(m, k),
-                    instance.join(instance.map(k, m)),
-                )
-
-    return sweep("bind-join-coherence", instance.name, cases())
+    coherence = lambda m, k: (instance.bind(m, k), instance.join(instance.map(k, m)))
+    kleisli = [((label,), k) for label, k in gen.kleisli]
+    return sweep("bind-join-coherence", instance.name, coherence, gen.values, kleisli)
 
 
 def run_suite(instance: ContainerInstance, gen: Generators | None = None) -> list[LawReport]:

@@ -14,11 +14,11 @@ Line format, shared by every checker in the library::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from functools import partial
+from itertools import product
+from typing import Any, Callable, Sequence
 
 from .render import show
-
-Case = tuple[Any, tuple[str, ...], Callable[[], tuple[Any, Any]]]
 
 
 @dataclass(frozen=True)
@@ -63,16 +63,21 @@ class LawReport:
         )
 
 
-def sweep(law: str, subject: str, cases: Iterable[Case]) -> LawReport:
-    """Check each `(value, labels, sides)` case, where `sides()` returns the
-    law's two sides at `value`. Every `sides()` runs exactly once; `checked`
-    counts the cases, and the first failing case becomes the counterexample
-    with its own `sides` as the replay."""
-    checked = 0
-    witness = None
-    for value, labels, sides in cases:
-        checked += 1
-        lhs, rhs = sides()
-        if lhs != rhs and witness is None:
-            witness = Counterexample(value, lhs, rhs, labels, sides)
-    return LawReport(law, subject, checked, witness)
+def sweep(law: str, subject: str, sides: Callable, values: Sequence, panel: Sequence[tuple]) -> LawReport:
+    """Check `sides(value, *args)`, the law's two sides, over every value and
+    every `(labels, *args)` panel entry, values outermost. `checked` counts
+    all len(values) * len(panel) cases, but a repeated value is evaluated only
+    at its first occurrence, keyed on `repr`, since `==` merges 1, 1.0 and
+    True, and lists are unhashable. The first failing case becomes the
+    counterexample, replayed by `partial(sides, value, *args)`, and nothing
+    after it runs."""
+    checked = len(values) * len(panel)
+    distinct = {}
+    for value in values:
+        distinct.setdefault(repr(value), value)
+    for value, (labels, *args) in product(distinct.values(), panel):
+        lhs, rhs = sides(value, *args)
+        if lhs != rhs:
+            witness = Counterexample(value, lhs, rhs, labels, partial(sides, value, *args))
+            return LawReport(law, subject, checked, witness)
+    return LawReport(law, subject, checked)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from conftest import load_golden
 
+from finmonad import laws
 from finmonad.containers import (
     F1,
     F4,
@@ -21,6 +23,7 @@ from finmonad.laws import (
     random_generators,
     run_suite,
 )
+from finmonad.reports import sweep
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +143,31 @@ class DroppyListInstance(ListInstance):
 
 
 def test_dropping_join_is_detected_with_replayable_witness():
-    droppy = DroppyListInstance()
+    class LoggedDroppy(DroppyListInstance):
+        calls = []
+
+        def bind(self, m, k):
+            self.calls.append((list(m), labels.get(k, "inner")))
+            return super().bind(m, k)
+
+    droppy = LoggedDroppy()
     gen = default_generators(LIST)
+    labels = {k: label for label, k in gen.kleisli}
     left, right, assoc = check_monad_laws(droppy, gen)
+    swept = list(droppy.calls)
     assert not right.passed
     assert right.counterexample.recheck()
     assert not left.passed
     assert left.counterexample.recheck()
+    assert assoc.to_line() == (
+        "FAIL monad-associativity @ droppy-list witness=[-3,7,-3] [unit,unit] lhs=[-3] rhs=[]"
+    )
+    assert assoc.checked == 1800 == len(gen.values) * len(gen.kleisli) ** 2
+    droppy.calls.clear()
+    assert assoc.counterexample.recheck()
+    # the sweep's last bind calls are the witness case's own: none ran after it
+    assert droppy.calls[0] == ([-3, 7, -3], "unit")
+    assert swept[-len(droppy.calls):] == droppy.calls
 
 
 def test_every_failure_is_self_certifying():
@@ -186,6 +207,37 @@ def test_random_panels_refuse_sizes_below_two():
             with pytest.raises(ValueError, match="at least 2"):
                 random_generators(instance, size=size)
         assert len(random_generators(instance, size=2).values) == 2
+
+
+def test_random_panel_reports_match_the_golden():
+    # every report of the four instances and the droppy list at size 300;
+    # a FAIL line has its `checked` appended, since the grammar omits it
+    lines = []
+    for seed in range(3):
+        for instance, panels in ((LIST, LIST), (OPTION, OPTION), (WRAP, WRAP), (MULTI_SHAPE, MULTI_SHAPE),
+                                 (DroppyListInstance(), LIST)):
+            lines.append(f"# {instance.name} seed={seed} size=300")
+            for report in run_suite(instance, random_generators(panels, seed=seed, size=300)):
+                assert report.passed or report.counterexample.recheck()
+                lines.append(report.to_line() if report.passed else f"{report.to_line()} checked={report.checked}")
+    assert lines == load_golden("laws_random.txt").splitlines()
+
+
+def test_associativity_evaluates_each_distinct_value_once(monkeypatch):
+    gen = random_generators(OPTION, seed=1, size=1000)
+    calls = []
+
+    def counted(law, subject, sides, values, panel):
+        if law == "monad-associativity":
+            return sweep(law, subject, lambda *case: calls.append(case) or sides(*case), values, panel)
+        return sweep(law, subject, sides, values, panel)
+
+    monkeypatch.setattr(laws, "sweep", counted)
+    assoc = check_monad_laws(OPTION, gen)[2]
+    distinct = len({repr(value) for value in gen.values})
+    assert distinct == 199
+    assert len(calls) == distinct * 36 == 7164
+    assert assoc.to_line() == "PASS monad-associativity @ option checked=36000"
 
 
 def test_random_sweeps_agree_with_curated_verdicts():
