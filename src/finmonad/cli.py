@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .containers import (
     F1,
@@ -118,9 +118,13 @@ def maybe_demo_lines() -> list[str]:
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _emit(lines: list[str]) -> None:
-    for line in lines:
-        print(line)
+def _printing(lines: Callable[[argparse.Namespace], list[str]]) -> Callable[[argparse.Namespace], int]:
+    """The handler of a demo command: print `lines(args)`, one a line, and return 0."""
+    def handler(args) -> int:
+        for line in lines(args):
+            print(line)
+        return 0
+    return handler
 
 
 def _emit_reports(reports: Iterable[LawReport], report: TextIO | None) -> list[LawReport]:
@@ -140,31 +144,6 @@ def _emit_reports(reports: Iterable[LawReport], report: TextIO | None) -> list[L
         if report:
             report.close()
     return failures
-
-
-def _run_pythagoras(args) -> int:
-    print(show(pythagorean_triples(args.n, strict=args.strict)))
-    return 0
-
-
-def _run_list_demo(args) -> int:
-    _emit(list_demo_lines())
-    return 0
-
-
-def _run_maybe_demo(args) -> int:
-    _emit(maybe_demo_lines())
-    return 0
-
-
-def _run_phonebook(args) -> int:
-    print(show(lookup(args.name, PHONEBOOK)))
-    return 0
-
-
-def _run_functor_demo(args) -> int:
-    _emit(functor_demo_lines(banner=args.banner))
-    return 0
 
 
 def _is_known_shape_failure(failures) -> bool:
@@ -210,21 +189,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pythagoras", help="right-triangle triples via nested list binds")
     p.add_argument("--n", type=int, required=True, help="upper bound for all three sides")
     p.add_argument("--strict", action="store_true", help="only x < y < z")
-    p.set_defaults(func=_run_pythagoras)
+    p.set_defaults(func=_printing(lambda args: [show(pythagorean_triples(args.n, strict=args.strict))]))
 
     p = sub.add_parser("list-demo", help="the list monad walkthrough")
-    p.set_defaults(func=_run_list_demo)
+    p.set_defaults(func=_printing(lambda args: list_demo_lines()))
 
     p = sub.add_parser("maybe-demo", help="guarded numeric pipelines over options")
-    p.set_defaults(func=_run_maybe_demo)
+    p.set_defaults(func=_printing(lambda args: maybe_demo_lines()))
 
     p = sub.add_parser("phonebook", help="option-valued lookup in the sample phonebook")
     p.add_argument("--name", required=True)
-    p.set_defaults(func=_run_phonebook)
+    p.set_defaults(func=_printing(lambda args: [show(lookup(args.name, PHONEBOOK))]))
 
     p = sub.add_parser("functor-demo", help="wrapper and four-shape functor transcripts")
     p.add_argument("--banner", action="store_true", help="wrap each transcript in begin/end banners")
-    p.set_defaults(func=_run_functor_demo)
+    p.set_defaults(func=_printing(lambda args: functor_demo_lines(banner=args.banner)))
 
     p = sub.add_parser("laws", help="run the functor/monad law suites")
     p.add_argument("--instance", choices=[*INSTANCES, "all"], default="all")

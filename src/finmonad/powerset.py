@@ -243,7 +243,7 @@ def _compare(dom: FiniteSet, cod: FiniteSet, lhs, rhs, labels, replay) -> Counte
 def _naturality(transform: NatTransform, subject: str, dom: FiniteSet, cod: FiniteSet, arrows) -> LawReport:
     """One report on the squares target(f) ∘ component(dom) = component(cod) ∘ source(f)
     of `transform`, on all of source(dom), for each f in the list `arrows` from `dom`
-    to `cod`. The objects and both components are read once."""
+    to `cod`, stopping at the first witness. The objects and both components are read once."""
     source, target = transform.source, transform.target
     s_dom, s_cod = source.on_object(dom), source.on_object(cod)
     t_dom, t_cod = target.on_object(dom), target.on_object(cod)
@@ -253,8 +253,9 @@ def _naturality(transform: NatTransform, subject: str, dom: FiniteSet, cod: Fini
     for f in arrows:
         source_f, target_f = source.on_arrow(f), target.on_arrow(f)
         lhs, rhs = (codes_dom, _codes(target_f, t_dom, t_cod)), (_codes(source_f, s_dom, s_cod), codes_cod)
-        witness = witness or _compare(s_dom, t_cod, lhs, rhs, (), lambda x, s=source_f, t=target_f: (
-            apply(t, apply(at_dom, x)), apply(at_cod, apply(s, x))))
+        if witness := _compare(s_dom, t_cod, lhs, rhs, (), lambda x: (
+                apply(target_f, apply(at_dom, x)), apply(at_cod, apply(source_f, x)))):
+            break
     return LawReport(f"naturality[{transform.name}]", subject, len(s_dom) * len(arrows), witness)
 
 
@@ -319,8 +320,9 @@ def check_associativity(
     one more at odds 1/2 (mean size 2, members may repeat), and take mu at
     P(space) to be union. They read the handed mu at `space` only where their
     samples reach, so cost follows `samples` (at least 1), not |P(P(space))|.
-    Both modes read each handed component through `_codes` and build atoms only
-    for a witness. The law name records the mode, seed and sample count.
+    Both modes read each handed component through `_codes`, stop at the first
+    witness and build atoms only for it. The law name records the mode, seed
+    and sample count.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -359,7 +361,8 @@ def check_associativity(
                 lift[j] = 1 << power.mask.index(codes_mu(families.mask[j]))
             union, image = union | families.mask[j], image | lift[j]
         lhs, rhs = codes_mu(union), codes_mu(image)
-        if lhs != rhs and witness is None:
+        if lhs != rhs:
             value = make_finite_set(families.atom(families.mask[j]) for j in drawn)
             witness = Counterexample(value, power.atom(lhs), power.atom(rhs), labels, partial(replay, value))
+            break
     return LawReport(f"monad-associativity[sampled,seed={seed},n={samples}]", show(space), samples, witness)

@@ -20,6 +20,9 @@ from .finset import FiniteFunction, FiniteSet
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
 
+# the one-payload constructors by their exact type, none being subclassed
+_TAGS = {Just: "Just", Wrap: "MyF", F1: "F1", F4: "F4"}
+
 
 def _show_str(s: str) -> str:
     return '"' + "".join(_ESCAPES.get(ch, ch) for ch in s) + '"'
@@ -28,7 +31,7 @@ def _show_str(s: str) -> str:
 def _argument(value) -> str:
     """Render a constructor argument, parenthesizing when precedence demands."""
     text = show(value)
-    if text.startswith("-") or isinstance(value, (Just, Wrap, F1, F2, F3, F4)):
+    if text.startswith("-") or type(value) in (*_TAGS, F2, F3):
         return f"({text})"
     return text
 
@@ -47,18 +50,12 @@ def show(value) -> str:
         return "(" + ",".join(show(v) for v in value) + ")"
     if value is NOTHING:
         return "Nothing"
-    if isinstance(value, Just):
-        return f"Just {_argument(value.value)}"
-    if isinstance(value, Wrap):
-        return f"MyF {_argument(value.value)}"
-    if isinstance(value, F1):
-        return f"F1 {_argument(value.value)}"
+    if tag := _TAGS.get(type(value)):
+        return f"{tag} {_argument(value.value)}"
     if isinstance(value, F2):
         return f"F2 {show(list(value.values))}"
     if isinstance(value, F3):
         return f"F3 {show(tuple(value.pair))}"
-    if isinstance(value, F4):
-        return f"F4 {_argument(value.value)}"
     if isinstance(value, FiniteSet):
         return "{" + ",".join(show(v) for v in value) + "}"
     if isinstance(value, FiniteFunction):

@@ -109,7 +109,8 @@ def test_powerset_check_small_sweep(run_cli):
 
 
 def test_powerset_check_max_size_four_at_default_samples(run_cli):
-    # 10,000 small families at {1,2,3,4} take about a second to draw
+    # 10,000 small families at {1,2,3,4} take about 0.06 s to draw; the whole
+    # run about 0.3 s (the README times it)
     code, out = run_cli("powerset-check", "--max-size", "4")
     assert code == 0
     lines = out.splitlines()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -488,6 +489,20 @@ def test_corrupted_multiplication_fails_naturality_with_witness():
     assert all(report.counterexample.recheck() for report in failures)
 
 
+def test_a_failing_naturality_sweep_stops_lifting_at_its_witness(monkeypatch):
+    # the two failing size pairs of a sweep with mu corrupted at {1,2} lift no
+    # arrow past their first witness, so the sweep lifts fewer than the honest one
+    lifted = []
+    monkeypatch.setattr(powerset, "powerset_arrow", lambda f: lifted.append(f) or powerset_arrow(f))
+    counts = []
+    for transform in (MU, corrupt_mu_at(make_finite_set([1, 2]))):
+        lifted.clear()
+        naturality_sweep(transform, 2)
+        counts.append(len(lifted))
+    honest, failing = counts
+    assert failing < honest
+
+
 def test_components_on_separately_built_powersets_give_the_same_lines():
     # a hand-built mu whose endpoints equal P(P(X)) and P(X) but are plain sets
     # built apart from the cached powersets: same lines as on the cached ones
@@ -662,6 +677,26 @@ def test_sampled_associativity_witness_is_pinned():
         "witness={{{},{1}},{{1},{1,2}}} [mu∘mu_P,mu∘P(mu)] lhs={1,2} rhs={1}"
     )
     assert report.counterexample.recheck()
+
+
+def test_failing_sampled_associativity_stops_drawing_at_its_witness(monkeypatch):
+    # a draw past the witness would change nothing the report says
+    draws = []
+
+    class Counting(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(powerset.random, "Random", Counting)
+    space = make_finite_set([1, 2, 3])
+    counts = []
+    for samples in (10_000, 20_000):
+        draws.clear()
+        report = check_associativity(space, samples=samples, seed=42, mu=corrupt_mu_at(space))
+        assert not report.passed
+        counts.append(len(draws))
+    assert counts[0] == counts[1]
 
 
 def test_sampled_associativity_assumes_union_at_the_outer_powerset():

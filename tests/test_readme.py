@@ -1,15 +1,19 @@
 """The README's python quickstart runs as written, and each `# <value>`
 comment in it is the value of the expression it annotates: the expression on
 the comment's own line, or on the line above for a comment on a line of its
-own. Renaming or removing an API name the README uses fails here."""
+own. Renaming or removing an API name the README uses fails here, and so
+does a CLI synopsis whose commands or flags differ from the parser's."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import re
 import tokenize
 from pathlib import Path
+
+from finmonad.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -54,3 +58,19 @@ def test_readme_quickstart_values(capsys):
     # apply(parity, 16), both .to_line() strings and LIST.bind(...)
     assert checked == 4
     assert "PASS functor-identity @ option" in capsys.readouterr().out
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    synopsis = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    documented = {}
+    for line in synopsis.splitlines():
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "finmonad", line
+        documented[words[1]] = set(re.findall(r"--[\w-]+", " ".join(words[2:])))
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert documented == parsed
