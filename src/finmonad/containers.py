@@ -81,9 +81,6 @@ class F4:
     value: Any
 
 
-MultiShape = F1 | F2 | F3 | F4
-
-
 # ---------------------------------------------------------------------------
 # instances
 # ---------------------------------------------------------------------------

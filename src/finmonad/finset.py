@@ -8,11 +8,11 @@ be checked by brute force instead of taken on faith.
 Everything is immutable after construction and safe to share across threads.
 Sets keep their elements in one canonical sorted order, which makes equality
 of sets, functions, and nested subsets plain structural comparison. Some
-fields are filled on first use: a set's `member_set` and `sort_key`, an
-arrow's hash, and, in the powerset layer's private subclasses, a set's
-`elements` and hash, a powerset's μ, and an arrow's `pairs` and `table`.
-Each fill computes a value fixed at construction, so threads that race to
-fill it store equal ones.
+fields are filled on first use: a set's `member_set`, and, in the powerset
+layer's private subclasses, a set's `elements` and hash, a powerset's μ,
+and an arrow's `pairs` and `table`. Each stays unset until then. Each fill
+computes a value fixed at construction, so threads that race to fill it
+store equal ones.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def atom_key(atom: Atom):
     if isinstance(atom, str):
         return (_KIND_STR, atom)
     if isinstance(atom, FiniteSet):
-        return atom.sort_key
+        return (_KIND_SET, tuple(map(atom_key, atom.elements)))
     raise TypeError(f"not an admissible atom: {atom!r}")
 
 
@@ -89,28 +89,20 @@ class FiniteSet:
     canonicalize.
     """
 
-    __slots__ = ("elements", "_member_set", "_sort_key", "_hash")
+    __slots__ = ("elements", "_member_set", "_hash")
 
     def __init__(self, elements: tuple[Atom, ...] = ()):
         self.elements = elements
-        self._member_set = None
-        self._sort_key = None
         self._hash = hash(elements)
 
     @property
     def member_set(self) -> frozenset:
         """The elements as a frozenset, built on first use."""
-        if self._member_set is None:
+        try:
+            return self._member_set
+        except AttributeError:  # the slot stays unset until then
             self._member_set = frozenset(self.elements)
-        return self._member_set
-
-    @property
-    def sort_key(self) -> tuple:
-        """This set's `atom_key`, built on first use: most sets, such as the
-        elements of a large powerset, are never sorted as atoms."""
-        if self._sort_key is None:
-            self._sort_key = (_KIND_SET, tuple(atom_key(m) for m in self.elements))
-        return self._sort_key
+            return self._member_set
 
     def __iter__(self) -> Iterator[Atom]:
         return iter(self.elements)
@@ -169,13 +161,12 @@ class FiniteFunction:
     canonical domain order. Use `make_function` for validation.
     """
 
-    __slots__ = ("domain", "codomain", "table", "_hash")
+    __slots__ = ("domain", "codomain", "table")
 
     def __init__(self, domain: FiniteSet, codomain: FiniteSet, pairs: Iterable[tuple[Atom, Atom]]):
         self.domain = domain
         self.codomain = codomain
         self.table = dict(pairs)
-        self._hash = None  # built on first use: most tables are never hashed
 
     @property
     def pairs(self) -> tuple[tuple[Atom, Atom], ...]:
@@ -186,17 +177,11 @@ class FiniteFunction:
             return True
         if not isinstance(other, FiniteFunction):
             return NotImplemented
-        return (
-            hash(self) == hash(other)
-            and self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.table == other.table
-        )
+        return (self.domain, self.codomain, self.table) == (other.domain, other.codomain, other.table)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.domain, self.codomain, tuple(self.table.values())))
-        return self._hash
+        # over the table's entries as a set: equal tables hash alike in any insertion order
+        return hash((self.domain, self.codomain, frozenset(self.table.items())))
 
     def __repr__(self) -> str:
         return f"FiniteFunction({self.domain!r} -> {self.codomain!r})"

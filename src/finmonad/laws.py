@@ -148,9 +148,11 @@ def random_generators(instance: ContainerInstance, *, seed: int = 0, size: int =
     """Seeded random panels for sweeps larger than the curated defaults.
 
     The same seed and size always give the same panels, so reports stay
-    reproducible. The degenerate values are force-included up front, and the
-    function panels are shared with the defaults. `size` is the number of
-    values and must be at least 2, the room those degenerate values need.
+    reproducible. Degenerate values are force-included up front: two for LIST
+    ([] and [0]) and OPTION (NOTHING and Just(0)), one for WRAP (Wrap(0)),
+    none for MULTI_SHAPE. The function panels are shared with the defaults.
+    `size` is the number of values and must be at least 2, the room LIST and
+    OPTION need for theirs.
     """
     if size < 2:
         raise ValueError(f"random panels need a size of at least 2, not {size}")

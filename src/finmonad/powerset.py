@@ -21,6 +21,7 @@ from functools import cache, lru_cache, partial, reduce
 from typing import Callable
 
 from .finset import (
+    CodomainViolationError,
     FiniteFunction,
     FiniteSet,
     FinsetError,
@@ -59,13 +60,12 @@ class _PowerSet(FiniteSet):
         for k in reversed(range(n)):
             order[1:1] = [1 << k | t for t in order]
         self.mask, self.position = order, {x: i for i, x in enumerate(space.elements)}  # x -> its index
-        self._member_set = self._sort_key = None
 
     def __len__(self) -> int:
         return len(self.mask)
 
     def __getattr__(self, name: str):
-        # reached only while `elements` and `_hash`, or `union`, are unset
+        # reached only while `elements` and `_hash`, `union`, or `_member_set` is unset
         if name == "union":  # μ at `space`: a family of subsets maps to its union
             self.union = _Indexed(powerset_object(self), self, _images(self.mask))
             return self.union
@@ -106,7 +106,7 @@ class _Indexed(FiniteFunction):
     __slots__ = ("index", "pairs")
 
     def __init__(self, domain: _PowerSet, codomain: _PowerSet, index: list[int]):
-        self.domain, self.codomain, self.index, self._hash = domain, codomain, index, None
+        self.domain, self.codomain, self.index = domain, codomain, index
 
     def _image(self, x):
         return self.codomain.atom(self.index[self.domain.mask_of(x)])
@@ -140,7 +140,11 @@ def _powerset_per_spelling(space: FiniteSet, spelling: str) -> _PowerSet:
 def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
     """P(f): sends each subset of f's domain to its image under f."""
     dom, cod = powerset_object(f.domain), powerset_object(f.codomain)
-    return _Indexed(dom, cod, _images([1 << cod.position[apply(f, x)] for x in f.domain]))
+    try:
+        bits = [1 << cod.position[apply(f, x)] for x in f.domain]
+    except KeyError as missing:
+        raise CodomainViolationError(f"{f!r} maps to {missing.args[0]!r}, outside its codomain") from None
+    return _Indexed(dom, cod, _images(bits))
 
 
 def eta_component(space: FiniteSet) -> FiniteFunction:

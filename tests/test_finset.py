@@ -16,6 +16,7 @@ from finmonad.finset import (
     MissingMappingError,
     NotInDomainError,
     apply,
+    atom_key,
     compose,
     enumerate_functions,
     identity,
@@ -89,14 +90,18 @@ def test_arrow_equality_requires_same_endpoints():
     assert narrow != wide
 
 
-def test_arrow_hash_is_built_on_first_use():
+def test_equal_arrows_hash_alike():
     domain = make_finite_set([1, 2])
     f = make_function(domain, domain, {1: 1, 2: 2})
     g = make_function(domain, domain, {1: 1, 2: 2})
     h = make_function(domain, domain, {1: 1, 2: 1})
-    assert f._hash is None and g._hash is None
-    assert f == g and hash(f) == hash(g) == f._hash
-    assert f != h and h._hash is not None
+    assert f == g and hash(f) == hash(g)
+    assert f != h
+    # a table handed over out of domain order is still the same arrow
+    letters = make_finite_set(["a", "b"])
+    shuffled = FiniteFunction(domain, letters, ((2, "a"), (1, "b")))
+    ordered = make_function(domain, letters, {1: "b", 2: "a"})
+    assert shuffled == ordered and ordered == shuffled and hash(shuffled) == hash(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +258,9 @@ def test_constructor_trusts_its_input_and_make_finite_set_canonicalizes():
 def test_sort_key_and_member_set_are_built_on_first_read():
     inner = make_finite_set([2, "a"])
     s = FiniteSet((1, inner))
-    assert s._sort_key is None and s._member_set is None
+    with pytest.raises(AttributeError):
+        FiniteSet._member_set.__get__(s)  # unset until the first read
     assert s.member_set == frozenset({1, inner})
-    assert s._sort_key is None
-    assert s.sort_key == (2, ((0, 1), (2, ((0, 2), (1, "a")))))
-    assert s.sort_key is s._sort_key and s.member_set is s._member_set
+    assert s.member_set is s.member_set is FiniteSet._member_set.__get__(s)
+    assert atom_key(s) == (2, ((0, 1), (2, ((0, 2), (1, "a")))))
     assert hash(s) == hash((1, inner))

@@ -7,6 +7,7 @@ import pytest
 
 from finmonad import finset, powerset
 from finmonad.finset import (
+    CodomainViolationError,
     FiniteFunction,
     FiniteSet,
     atom_key,
@@ -132,7 +133,7 @@ def test_a_powerset_builds_its_atoms_on_first_read():
     assert len(lazy) == len(eager) == 8
     with pytest.raises(AttributeError):
         FiniteSet.elements.__get__(lazy)  # not built by len
-    reads = (list, hash, show, repr, lambda s: s.sort_key, lambda s: s == eager, lambda s: eager == s,
+    reads = (list, hash, show, repr, atom_key, lambda s: s == eager, lambda s: eager == s,
              lambda s: [x in s for x in (*eager, make_finite_set([4]), 3)])
     for read in reads:
         assert read(powerset._PowerSet(space)) == read(eager)
@@ -458,6 +459,20 @@ def test_corrupted_multiplication_fails_exhaustive_associativity():
         "FAIL monad-associativity[exhaustive] @ {1,2} "
         "witness={{},{{}},{{},{1}},{{1}},{{1},{1,2}}} [mu∘mu_P,mu∘P(mu)] lhs={1,2} rhs={1}"
     )
+
+
+def test_an_image_outside_the_codomain_is_a_codomain_violation():
+    # the trusted constructor takes any table; the powerset layer names the fault
+    space = make_finite_set([1, 2])
+    escaping = FiniteFunction(space, make_finite_set(["a"]), ((1, "a"), (2, "b")))
+    with pytest.raises(CodomainViolationError):
+        powerset_arrow(escaping)
+    with pytest.raises(CodomainViolationError):
+        check_naturality(ETA, escaping)
+    off = FiniteFunction(space, powerset_object(space), ((1, FiniteSet((1,))), (2, FiniteSet((3,)))))
+    eta = NatTransform("eta-off", IDENTITY_FUNCTOR, POWERSET, lambda x: off if x == space else eta_component(x))
+    with pytest.raises(CodomainViolationError):
+        check_unit_laws(space, eta=eta)
 
 
 def test_corrupted_unit_at_the_powerset_fails_the_first_triangle():
