@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Iterable, TextIO
+from contextlib import nullcontext
+from typing import Callable, Iterable, Iterator
 
 from .containers import (
     F1,
@@ -38,6 +39,8 @@ from .reports import LawReport
 
 _BANNER_TOP = "Program begins."
 _BANNER_BOTTOM = "Program ends."
+# the four-shape functor's broken identity law: the one failure `laws --expect-fail` accepts
+_KNOWN_SHAPE_FAILURE = "FAIL functor-identity @ multishape witness=F4 200 lhs=F1 200 rhs=F4 200"
 
 
 # ---------------------------------------------------------------------------
@@ -127,56 +130,45 @@ def _printing(lines: Callable[[argparse.Namespace], list[str]]) -> Callable[[arg
     return handler
 
 
-def _emit_reports(reports: Iterable[LawReport], report: TextIO | None) -> list[LawReport]:
-    """Print each report's line, flushed, as soon as the report is produced,
-    and copy it to `report`, so a long or crashing run still shows every
-    finished check. Returns the failed reports."""
-    failures = []
-    try:
-        for r in reports:
-            line = r.to_line()
-            print(line, flush=True)
-            if report:
-                print(line, file=report, flush=True)
-            if not r.passed:
-                failures.append(r)
-    finally:
-        if report:
-            report.close()
-    return failures
+def _checking(
+    reports: Callable[[argparse.Namespace], Iterable[LawReport]],
+    expected: Callable[[argparse.Namespace], list[str]],
+) -> Callable[[argparse.Namespace], int]:
+    """The handler of a check command. It opens the `--report` file before any check runs, so a
+    bad path fails before any work, then prints each line of `reports(args)`, flushed, as soon as
+    it is produced and copies it there, so a crashing run still shows every finished check.
+    Returns 0 exactly when the failing lines are `expected(args)`, else 1."""
+    def handler(args) -> int:
+        try:
+            copy = open(args.report, "w", encoding="utf-8") if args.report else nullcontext()
+        except OSError as exc:
+            print(f"finmonad: error: cannot write report {args.report}: {exc.strerror}", file=sys.stderr)
+            raise SystemExit(2)
+        failing = []
+        with copy as report:
+            for r in reports(args):
+                line = r.to_line()
+                print(line, flush=True)
+                if report:
+                    print(line, file=report, flush=True)
+                if not r.passed:
+                    failing.append(line)
+        return 0 if failing == expected(args) else 1
+    return handler
 
 
-def _is_known_shape_failure(failures) -> bool:
-    if len(failures) != 1:
-        return False
-    report = failures[0]
-    cx = report.counterexample
-    return (
-        report.law == "functor-identity"
-        and report.subject == "multishape"
-        and cx.value == F4(200)
-        and cx.lhs == F1(200)
-    )
+def _law_reports(args) -> Iterator[LawReport]:
+    for name in INSTANCES if args.instance == "all" else [args.instance]:
+        yield from run_suite(INSTANCES[name])
 
 
-def _run_laws(args) -> int:
-    names = list(INSTANCES) if args.instance == "all" else [args.instance]
-    failures = _emit_reports((r for name in names for r in run_suite(INSTANCES[name])), args.report)
-    if args.expect_fail:
-        return 0 if _is_known_shape_failure(failures) else 1
-    return 1 if failures else 0
-
-
-def _run_powerset_check(args) -> int:
-    def reports():
-        for size in range(args.max_size + 1):
-            space = make_finite_set(range(1, size + 1))
-            yield check_unit_laws(space)
-            yield check_associativity(space, samples=args.samples, seed=args.seed)
-        yield from naturality_sweep(ETA, min(args.max_size, 3))
-        yield from naturality_sweep(MU, min(args.max_size, 2))
-
-    return 1 if _emit_reports(reports(), args.report) else 0
+def _powerset_reports(args) -> Iterator[LawReport]:
+    for size in range(args.max_size + 1):
+        space = make_finite_set(range(1, size + 1))
+        yield check_unit_laws(space)
+        yield check_associativity(space, samples=args.samples, seed=args.seed)
+    yield from naturality_sweep(ETA, min(args.max_size, 3))
+    yield from naturality_sweep(MU, min(args.max_size, 2))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-fail", action="store_true",
                    help="exit 0 only when exactly the known four-shape identity failure occurs")
     p.add_argument("--report", metavar="PATH", help="also save the report lines to a file")
-    p.set_defaults(func=_run_laws)
+    expected = lambda args: [_KNOWN_SHAPE_FAILURE] if args.expect_fail else []
+    p.set_defaults(func=_checking(_law_reports, expected))
 
     p = sub.add_parser("powerset-check", help="powerset monad coherence and naturality reports")
     # the unit laws at size K build P(P(X)), whose carrier P(X) has 2^K elements
@@ -219,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="seed for sampled associativity")
     p.add_argument("--samples", type=int, default=10_000, help="sample count past the exhaustive sizes")
     p.add_argument("--report", metavar="PATH", help="also save the report lines to a file")
-    p.set_defaults(func=_run_powerset_check)
+    p.set_defaults(func=_checking(_powerset_reports, lambda args: []))
 
     return parser
 
@@ -231,12 +224,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--n must be at least 1")
     if args.command == "powerset-check" and args.samples < 1:
         parser.error("--samples must be at least 1")
-    if getattr(args, "report", None):
-        # opened before the checks run, so a bad path fails before any work
-        try:
-            args.report = open(args.report, "w", encoding="utf-8")
-        except OSError as exc:
-            parser.exit(2, f"finmonad: error: cannot write report {args.report}: {exc.strerror}\n")
     return args.func(args)
 
 

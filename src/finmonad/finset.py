@@ -262,9 +262,5 @@ def enumerate_functions(domain: FiniteSet, codomain: FiniteSet) -> Iterator[Fini
             f"{total} functions from {domain!r} to {codomain!r} exceeds the cap of {ENUMERATION_CAP}"
         )
     xs = domain.elements
-
-    def generate() -> Iterator[FiniteFunction]:
-        for images in itertools.product(codomain.elements, repeat=len(xs)):
-            yield FiniteFunction(domain, codomain, tuple(zip(xs, images)))
-
-    return generate()
+    rows = itertools.product(codomain.elements, repeat=len(xs))
+    return (FiniteFunction(domain, codomain, tuple(zip(xs, images))) for images in rows)

@@ -51,13 +51,10 @@ class _PowerSet(FiniteSet):
     __slots__ = ("mask", "position", "union")  # mask[i] is the bitmask of elements[i]
 
     def __init__(self, space: FiniteSet):
-        n = len(space)
-        if n > POWERSET_CAP:
-            raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {POWERSET_CAP}")
         # Canonical order is lexicographic on member tuples: over the elements from
         # the k-th on, the empty subset, then those holding the k-th, then the rest.
         order = [0]
-        for k in reversed(range(n)):
+        for k in reversed(range(len(space))):
             order[1:1] = [1 << k | t for t in order]
         self.mask, self.position = order, {x: i for i, x in enumerate(space.elements)}  # x -> its index
 
@@ -124,7 +121,11 @@ class _Indexed(FiniteFunction):
 
 
 def powerset_object(space: FiniteSet) -> FiniteSet:
-    """P(space): the set of all 2^|space| subsets, canonically ordered."""
+    """P(space): the set of all 2^|space| subsets, canonically ordered. The cap is checked
+    before `space` is rendered or hashed, which would build all its atoms."""
+    n = len(space)
+    if n > POWERSET_CAP:
+        raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {POWERSET_CAP}")
     return _powerset_per_spelling(space, show(space))
 
 
@@ -228,7 +229,15 @@ def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> Callable[[int],
     if isinstance(f, _Indexed):
         return f.index.__getitem__
     atom, code = _coding(dom)[1], _coding(cod)[2]
-    return cache(lambda c: code(apply(f, atom(c))))
+
+    def read(c: int) -> int:
+        image = apply(f, atom(c))
+        try:  # only the image's lookup: an atom missing from f's table stays NotInDomainError
+            return code(image)
+        except (ValueError, NotInDomainError):
+            raise CodomainViolationError(f"{f!r} maps to {image!r}, outside its codomain") from None
+
+    return cache(read)
 
 
 def _compare(dom: FiniteSet, cod: FiniteSet, lhs, rhs, labels, replay) -> Counterexample | None:

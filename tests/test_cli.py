@@ -5,6 +5,8 @@ import pytest
 from conftest import assert_transcript, load_golden
 from finmonad import cli
 from finmonad.cli import main as cli_main
+from finmonad.containers import F1, F4
+from finmonad.reports import Counterexample, LawReport
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +85,17 @@ def test_laws_expected_failure_exits_zero(run_cli):
 def test_laws_expect_fail_on_clean_instance_exits_one(run_cli):
     code, _ = run_cli("laws", "--instance", "list", "--expect-fail")
     assert code == 1
+
+
+def test_laws_expect_fail_accepts_only_the_known_failure(run_cli, monkeypatch):
+    known = LawReport("functor-identity", "multishape", 1, Counterexample(F4(200), F1(200), F4(200), (), None))
+    other = LawReport("functor-identity", "multishape", 1, Counterexample(F4(201), F1(201), F4(201), (), None))
+    for reports in ([other], [known, other]):
+        monkeypatch.setattr(cli, "run_suite", lambda instance: iter(reports))
+        code, _ = run_cli("laws", "--instance", "multishape", "--expect-fail")
+        assert code == 1
+    monkeypatch.setattr(cli, "run_suite", lambda instance: iter([known]))
+    assert run_cli("laws", "--instance", "multishape", "--expect-fail") == (0, cli._KNOWN_SHAPE_FAILURE + "\n")
 
 
 def test_laws_report_file(run_cli, tmp_path):

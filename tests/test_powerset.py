@@ -403,6 +403,18 @@ def test_associativity_exhaustive_mode_refuses_size_three():
         check_associativity(make_finite_set([1, 2, 3]), mode="exhaustive")
 
 
+def test_an_over_cap_powerset_is_refused_before_its_argument_is_built():
+    # exhaustive associativity at {1,2,3,4} would need P of the 65,536 families:
+    # the cap refuses it from the families' size, without rendering or hashing them
+    powerset._powerset_per_spelling.cache_clear()
+    space = make_finite_set(range(1, 5))
+    families = powerset_object(powerset_object(space))
+    with pytest.raises(PowersetTooLargeError):
+        check_associativity(space, mode="exhaustive")
+    with pytest.raises(AttributeError):
+        FiniteSet.elements.__get__(families)  # its atoms are still unbuilt
+
+
 def mu_corrupted_at(space, family, wrong):
     """A multiplication whose component at `space` sends `family` to
     `wrong`, and is honest everywhere else."""
@@ -473,6 +485,18 @@ def test_an_image_outside_the_codomain_is_a_codomain_violation():
     eta = NatTransform("eta-off", IDENTITY_FUNCTOR, POWERSET, lambda x: off if x == space else eta_component(x))
     with pytest.raises(CodomainViolationError):
         check_unit_laws(space, eta=eta)
+    # a handed component read through its table, into a powerset and into a plain set
+    with pytest.raises(CodomainViolationError, match=r"maps to FiniteSet\(\{3\}\)"):
+        check_naturality(eta, identity(space))
+    nine = FiniteFunction(powerset_object(space), space, ((s, 9) for s in powerset_object(space)))
+    eps = NatTransform("eps", POWERSET, IDENTITY_FUNCTOR, lambda x: nine)
+    with pytest.raises(CodomainViolationError, match="maps to 9"):
+        check_naturality(eps, identity(space))
+    # an atom missing from the table is still the domain's fault
+    partial_eta = FiniteFunction(space, powerset_object(space), ((1, FiniteSet((1,))),))
+    gap = NatTransform("eta-gap", IDENTITY_FUNCTOR, POWERSET, lambda x: partial_eta)
+    with pytest.raises(NotInDomainError):
+        check_naturality(gap, identity(space))
 
 
 def test_corrupted_unit_at_the_powerset_fails_the_first_triangle():

@@ -13,7 +13,7 @@ import re
 import tokenize
 from pathlib import Path
 
-from finmonad.cli import build_parser
+from finmonad.cli import _KNOWN_SHAPE_FAILURE, build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -74,3 +74,9 @@ def test_readme_cli_synopsis_matches_the_parser():
         for name, sub in commands.items()
     }
     assert documented == parsed
+
+
+def test_readme_stock_counterexample_is_the_line_expect_fail_accepts():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"stock counterexample:\n\n```\n(.*?)```", text, re.S).group(1)
+    assert block.splitlines() == [_KNOWN_SHAPE_FAILURE]
