@@ -13,8 +13,7 @@ nested containers), so a single law harness serves every instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable
+from operator import attrgetter
 
 
 class UnsupportedOperationError(TypeError):
@@ -43,9 +42,53 @@ class _Nothing:
 NOTHING = _Nothing()
 
 
-@dataclass(frozen=True)
-class Just:
-    value: Any
+class Record:
+    """Base of the library's immutable records. A subclass, never itself
+    subclassed, names its fields in `__slots__` and takes them positionally.
+    Records of one class with equal fields are equal and hash alike; a record
+    prints as `Name(field=value, ...)`, refuses assignment and deletion, and
+    copies and pickles by rebuilding from its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._key = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:  # the container shapes, built once per mapped value
+            set_field = getattr(cls, cls.__slots__[0]).__set__
+            cls.__init__ = lambda self, value: set_field(self, value)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key  # its result is compared inside a tuple, so a NaN field equals itself
+        return (key(self),) == (key(other),)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Just(Record):
+    __slots__ = ("value",)
 
     def __repr__(self):
         return f"Just({self.value!r})"
@@ -54,31 +97,26 @@ class Just:
 Option = Just | _Nothing
 
 
-@dataclass(frozen=True)
-class Wrap:
+class Wrap(Record):
     """One-slot wrapper container; renders with the MyF constructor tag."""
 
-    value: Any
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class F1:
-    value: Any
+class F1(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class F2:
-    values: list
+class F2(Record):
+    __slots__ = ("values",)
 
 
-@dataclass(frozen=True)
-class F3:
-    pair: tuple
+class F3(Record):
+    __slots__ = ("pair",)
 
 
-@dataclass(frozen=True)
-class F4:
-    value: Any
+class F4(Record):
+    __slots__ = ("value",)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ counts every value times every panel entry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable
 
 from .containers import (
     ContainerInstance,
@@ -31,15 +29,15 @@ from .containers import (
     MULTI_SHAPE,
     NOTHING,
     OPTION,
+    Record,
     WRAP,
     Wrap,
 )
 from .reports import LawReport, sweep
 
 
-@dataclass(frozen=True)
-class Generators:
-    """The finite panels one law sweep is quantified over.
+class Generators(Record):
+    """The finite panels, each a tuple, that one law sweep is quantified over.
 
     values: container values; elements: raw payloads for laws that start
     from a plain value; functions: endofunctions on payloads; kleisli:
@@ -47,10 +45,7 @@ class Generators:
     `(label, function)` pairs; the label is how a case names the function.
     """
 
-    values: tuple
-    elements: tuple
-    functions: tuple[tuple[str, Callable[[Any], Any]], ...]
-    kleisli: tuple[tuple[str, Callable[[Any], Any]], ...]
+    __slots__ = ("values", "elements", "functions", "kleisli")
 
 
 def _identity(x):

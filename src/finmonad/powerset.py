@@ -16,10 +16,10 @@ never silently degraded.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
 from typing import Callable
 
+from .containers import Record
 from .finset import (
     CodomainViolationError,
     FiniteFunction,
@@ -162,13 +162,12 @@ def mu_component(space: FiniteSet) -> FiniteFunction:
 # endofunctors and natural transformations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Endofunctor:
-    """One of the functor shapes the coherence checks need: the identity or
-    an iterated powerset. A closed family; nothing else is required."""
+class Endofunctor(Record):
+    """One of the functor shapes the coherence checks need: the identity
+    (`depth` 0) or the powerset iterated `depth` times. A closed family;
+    nothing else is required."""
 
-    name: str
-    depth: int
+    __slots__ = ("name", "depth")
 
     def on_object(self, space: FiniteSet) -> FiniteSet:
         for _ in range(self.depth):
@@ -186,14 +185,12 @@ POWERSET = Endofunctor("P", 1)
 POWERSET_SQUARED = Endofunctor("P^2", 2)
 
 
-@dataclass(frozen=True)
-class NatTransform:
-    """A family of arrows indexed by finite sets, with declared endpoints."""
+class NatTransform(Record):
+    """A family of arrows indexed by finite sets, with declared endpoints:
+    `component_at(space)` is the arrow from `source` to `target` at `space`,
+    each of them an Endofunctor."""
 
-    name: str
-    source: Endofunctor
-    target: Endofunctor
-    component_at: Callable[[FiniteSet], FiniteFunction]
+    __slots__ = ("name", "source", "target", "component_at")
 
     def component(self, space: FiniteSet) -> FiniteFunction:
         arrow = self.component_at(space)

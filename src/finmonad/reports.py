@@ -13,23 +13,20 @@ Line format, shared by every checker in the library::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
+from .containers import Record
 from .render import show
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    """First input on which the two sides of a law disagreed."""
+class Counterexample(Record):
+    """First input on which the two sides of a law disagreed: the input
+    `value`, its two sides `lhs` and `rhs`, the `labels` (strings) of the panel
+    functions in the case, and `replay()`, which returns both sides anew."""
 
-    value: Any
-    lhs: Any
-    rhs: Any
-    labels: tuple[str, ...]
-    replay: Callable[[], tuple[Any, Any]]
+    __slots__ = ("value", "lhs", "rhs", "labels", "replay")
 
     def recheck(self) -> bool:
         """Re-evaluate both sides; True when the disagreement reproduces."""
@@ -37,14 +34,13 @@ class Counterexample:
         return lhs == self.lhs and rhs == self.rhs and lhs != rhs
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(Record):
     """Result of checking one law over one subject (instance or component)."""
 
-    law: str
-    subject: str
-    checked: int
-    counterexample: Counterexample | None = None
+    __slots__ = ("law", "subject", "checked", "counterexample")
+
+    def __init__(self, law: str, subject: str, checked: int, counterexample: Counterexample | None = None):
+        super().__init__(law, subject, checked, counterexample)
 
     @property
     def passed(self) -> bool:

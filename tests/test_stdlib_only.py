@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +36,16 @@ def test_every_module_imports_only_the_standard_library():
 def test_import_scan_sees_nested_and_absolute_imports():
     source = "import numpy.linalg\nfrom hypothesis import given\nfrom . import finset\ndef f():\n    import json\n"
     assert imported_roots(source) == {"numpy", "hypothesis", "json"}
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without `site`, whose .pth files may import either
+    probe = (
+        "import sys, finmonad\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(any(hasattr(r, '__dict__') for r in (finmonad.Just(1), finmonad.LawReport('a', 'b', 1), finmonad.ETA)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "False"]
