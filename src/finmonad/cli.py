@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
-from typing import Callable, Iterable, Iterator
 
 from .containers import (
     F1,

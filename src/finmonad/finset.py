@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
-from typing import Any
 
-Atom = Any  # ints, bools, strings, or FiniteSet values nested recursively
+Atom = object  # ints, bools, strings, or FiniteSet values nested recursively
 
 ENUMERATION_CAP = 1_000_000
 

@@ -16,8 +16,8 @@ never silently degraded.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from functools import cache, lru_cache, partial, reduce
-from typing import Callable
 
 from .containers import Record
 from .finset import (
@@ -328,11 +328,12 @@ def check_associativity(
     that space tops out at 65 536 elements. Larger carriers use `samples`
     families drawn with a generator seeded by `seed`, each of one member, then
     one more at odds 1/2 (mean size 2, members may repeat), and take mu at
-    P(space) to be union. They read the handed mu at `space` only where their
-    samples reach, so cost follows `samples` (at least 1), not |P(P(space))|.
-    Both modes read each handed component through `_codes`, stop at the first
-    witness and build atoms only for it. The law name records the mode, seed
-    and sample count.
+    P(space) to be union. A member is `randrange(n)`'s draw on Python 3.11,
+    written out: k = n.bit_length() random bits, drawn again while at least n.
+    They read the handed mu at `space` only where their samples reach, so cost
+    follows `samples` (at least 1), not |P(P(space))|. Both modes read each
+    handed component through `_codes`, stop at the first witness and build
+    atoms only for it. The law name records the mode, seed and sample count.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -361,18 +362,22 @@ def check_associativity(
         witness = _compare(triples, power, lhs, rhs, labels, replay)
         return LawReport("monad-associativity[exhaustive]", show(space), len(triples.mask), witness)
 
-    rng, witness = random.Random(seed), None
-    lift = [None] * len(families.mask)  # by draw position, filled as members are drawn
+    rng, witness, masks = random.Random(seed), None, families.mask
+    draw, coin, n = rng.getrandbits, rng.random, len(masks)
+    k, lift = n.bit_length(), [None] * n  # lift by draw position, filled as members are drawn
     for _ in range(samples):
         drawn, union, image = [], 0, 0
-        while not drawn or rng.random() < 0.5:  # one member, then one more at odds 1/2
-            drawn.append(j := rng.randrange(len(lift)))
+        while not drawn or coin() < 0.5:  # one member, then one more at odds 1/2
+            j = draw(k)
+            while j >= n:  # randrange(n)'s recipe on Python 3.11: a seed draws the same members
+                j = draw(k)
+            drawn.append(j)
             if lift[j] is None:
-                lift[j] = 1 << power.mask.index(codes_mu(families.mask[j]))
-            union, image = union | families.mask[j], image | lift[j]
+                lift[j] = 1 << power.mask.index(codes_mu(masks[j]))
+            union, image = union | masks[j], image | lift[j]
         lhs, rhs = codes_mu(union), codes_mu(image)
         if lhs != rhs:
-            value = make_finite_set(families.atom(families.mask[j]) for j in drawn)
+            value = make_finite_set(families.atom(masks[j]) for j in drawn)
             witness = Counterexample(value, power.atom(lhs), power.atom(rhs), labels, partial(replay, value))
             break
     return LawReport(f"monad-associativity[sampled,seed={seed},n={samples}]", show(space), samples, witness)

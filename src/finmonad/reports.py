@@ -13,9 +13,9 @@ Line format, shared by every checker in the library::
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from functools import partial
 from itertools import product
-from typing import Callable, Sequence
 
 from .containers import Record
 from .render import show

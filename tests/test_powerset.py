@@ -37,6 +37,7 @@ from finmonad.powerset import (
     powerset_object,
 )
 from finmonad.render import show
+from finmonad.reports import Counterexample, LawReport
 
 
 def assert_agrees_with_its_table(f):
@@ -723,9 +724,9 @@ def test_failing_sampled_associativity_stops_drawing_at_its_witness(monkeypatch)
     draws = []
 
     class Counting(random.Random):
-        def randrange(self, *args):
-            draws.append(args)
-            return super().randrange(*args)
+        def getrandbits(self, k):
+            draws.append(k)
+            return super().getrandbits(k)
 
     monkeypatch.setattr(powerset.random, "Random", Counting)
     space = make_finite_set([1, 2, 3])
@@ -735,13 +736,12 @@ def test_failing_sampled_associativity_stops_drawing_at_its_witness(monkeypatch)
         report = check_associativity(space, samples=samples, seed=42, mu=corrupt_mu_at(space))
         assert not report.passed
         counts.append(len(draws))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
-def test_sampled_associativity_assumes_union_at_the_outer_powerset():
-    # mu(F) = {} if {} in F, else the union of F: a lawful monad (the nonempty
-    # powerset with {} as an absorbing error). Sampled mode takes mu at P(X) to
-    # be union, so it FAILs this monad at {1,2,3}, at every seed from 0 to 9.
+def mu_absorbing():
+    """mu(F) = {} if {} in F, else the union of F: a lawful monad (the nonempty
+    powerset with {} as an absorbing error)."""
     empty = make_finite_set()
 
     def absorbing(space):
@@ -749,7 +749,13 @@ def test_sampled_associativity_assumes_union_at_the_outer_powerset():
         pairs = ((family, empty if empty in family else u) for family, u in union.pairs)
         return FiniteFunction(union.domain, union.codomain, pairs)
 
-    mu = NatTransform("mu-absorbing", MU.source, MU.target, absorbing)
+    return NatTransform("mu-absorbing", MU.source, MU.target, absorbing)
+
+
+def test_sampled_associativity_assumes_union_at_the_outer_powerset():
+    # Sampled mode takes mu at P(X) to be union, so it FAILs the lawful
+    # absorbing monad at {1,2,3}, at every seed from 0 to 9.
+    empty, mu = make_finite_set(), mu_absorbing()
     for n in range(4):
         assert check_unit_laws(make_finite_set(range(1, n + 1)), mu=mu).passed
     assert check_associativity(make_finite_set([1, 2]), mu=mu).passed
@@ -758,18 +764,35 @@ def test_sampled_associativity_assumes_union_at_the_outer_powerset():
         assert not report.passed and empty in report.counterexample.value, report.to_line()
 
 
+def stride_at_size_three():
+    """Every 12th single-point corruption (family, wrong) of mu at {1,2,3}."""
+    honest = mu_component(make_finite_set([1, 2, 3]))
+    mutants = [
+        (family, wrong) for family, right in honest.pairs for wrong in honest.codomain if wrong != right
+    ]
+    assert len(mutants) == 1792
+    return mutants[::12]
+
+
+def stride_at_size_four():
+    """Every 122,880th single-point corruption (family, wrong) of mu at {1,2,3,4}."""
+    honest = mu_component(make_finite_set(range(1, 5)))
+    pairs, wrongs = honest.pairs, len(honest.codomain) - 1
+    assert len(pairs) * wrongs == 983_040
+    mutants = []
+    for i in range(0, 983_040, 122_880):
+        family, right = pairs[i // wrongs]
+        mutants.append((family, [s for s in honest.codomain if s != right][i % wrongs]))
+    return mutants
+
+
 def test_sampled_associativity_kills_a_stride_of_single_point_mutants():
     # Every single-point corruption of mu at {1,2,3}, in the order of mu's
     # table and then of the codomain: 256 families x 7 wrong values = 1,792.
     # Every 12th of them is checked, 150 mutants, none chosen by hand.
     space = make_finite_set([1, 2, 3])
-    honest = mu_component(space)
-    mutants = [
-        (family, wrong) for family, right in honest.pairs for wrong in honest.codomain if wrong != right
-    ]
-    assert len(mutants) == 1792
     kills = 0
-    for family, wrong in mutants[::12]:
+    for family, wrong in stride_at_size_three():
         report = check_associativity(space, samples=10_000, seed=42, mu=mu_corrupted_at(space, family, wrong))
         if not report.passed:
             assert report.counterexample.recheck(), report.to_line()
@@ -784,17 +807,50 @@ def test_sampled_associativity_lines_at_size_four_are_pinned():
     # seed 42 catches none of them. The lines were pinned before sampled mode
     # read mu lazily, and must not change with how mu is read.
     space = make_finite_set(range(1, 5))
-    honest = mu_component(space)
-    pairs, wrongs = honest.pairs, len(honest.codomain) - 1
-    assert len(pairs) * wrongs == 983_040
     lines = []
-    for i in range(0, 983_040, 122_880):
-        family, right = pairs[i // wrongs]
-        wrong = [s for s in honest.codomain if s != right][i % wrongs]
+    for family, wrong in stride_at_size_four():
         report = check_associativity(space, samples=10_000, seed=42, mu=mu_corrupted_at(space, family, wrong))
         assert report.passed or report.counterexample.recheck(), report.to_line()
         lines.append(report.to_line())
     assert lines == ["PASS monad-associativity[sampled,seed=42,n=10000] @ {1,2,3,4} checked=10000"] * 8
+
+
+def sampled_line_by_randrange(space, mu, seed=42, samples=10_000):
+    """The sampled associativity line as the loop wrote it when it drew each
+    member with `rng.randrange`: the oracle for the inlined draw."""
+    power, families = powerset_object(space), powerset_object(powerset_object(space))
+    codes_mu = powerset._codes(mu.component(space), families, power)
+    rng, witness = random.Random(seed), None
+    lift = [None] * len(families.mask)
+    for _ in range(samples):
+        drawn, union, image = [], 0, 0
+        while not drawn or rng.random() < 0.5:
+            drawn.append(j := rng.randrange(len(lift)))
+            if lift[j] is None:
+                lift[j] = 1 << power.mask.index(codes_mu(families.mask[j]))
+            union, image = union | families.mask[j], image | lift[j]
+        lhs, rhs = codes_mu(union), codes_mu(image)
+        if lhs != rhs:
+            value = make_finite_set(families.atom(families.mask[j]) for j in drawn)
+            witness = Counterexample(value, power.atom(lhs), power.atom(rhs), ("mu∘mu_P", "mu∘P(mu)"), None)
+            break
+    return LawReport(f"monad-associativity[sampled,seed={seed},n={samples}]", show(space), samples, witness).to_line()
+
+
+def test_sampled_associativity_draws_what_randrange_drew():
+    # the seed's meaning is the recipe written in check_associativity; the
+    # randrange loop it replaced must report the same line in every case
+    three, four = make_finite_set([1, 2, 3]), make_finite_set(range(1, 5))
+    cases = [(three, mu_corrupted_at(three, *m), 42) for m in stride_at_size_three()]
+    cases += [(four, mu_corrupted_at(four, *m), 42) for m in stride_at_size_four()]
+    cases += [(three, mu_absorbing(), seed) for seed in range(10)]
+    assert len(cases) == 168
+    fails = 0
+    for space, mu, seed in cases:
+        line = check_associativity(space, seed=seed, mu=mu).to_line()
+        assert line == sampled_line_by_randrange(space, mu, seed), line
+        fails += line.startswith("FAIL")
+    assert fails == 146 + 10  # the stride's 146 kills of 150, and every absorbing seed
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,10 @@ def test_import_scan_sees_nested_and_absolute_imports():
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter without `site`, whose .pth files may import either
+    # a fresh interpreter without `site`, whose .pth files may import any of them
     probe = (
-        "import sys, finmonad\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "import sys, finmonad, finmonad.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
         "print(any(hasattr(r, '__dict__') for r in (finmonad.Just(1), finmonad.LawReport('a', 'b', 1), finmonad.ETA)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
