@@ -126,15 +126,14 @@ class F4(Record):
 class ContainerInstance:
     """unit/map/join/bind for one container family.
 
-    bind defaults to join-after-map; a subclass may override it with a
-    short-circuiting version, in which case the law harness checks that the
-    override agrees with join∘map extensionally. Families without a unit or
-    join say so by raising UnsupportedOperationError.
+    A family has a unit or a join exactly when its class defines one; the
+    base methods raise UnsupportedOperationError. bind defaults to
+    join-after-map; a subclass may override it with a short-circuiting
+    version, in which case the law harness checks that the override agrees
+    with join∘map extensionally.
     """
 
     name = "?"
-    has_unit = True
-    has_join = True
 
     def unit(self, x):
         raise UnsupportedOperationError(f"{self.name} has no unit")
@@ -196,7 +195,6 @@ class OptionInstance(ContainerInstance):
 
 class WrapInstance(ContainerInstance):
     name = "wrap"
-    has_join = False
 
     def unit(self, x):
         return Wrap(x)
@@ -207,8 +205,6 @@ class WrapInstance(ContainerInstance):
 
 class MultiShapeInstance(ContainerInstance):
     name = "multishape"
-    has_unit = False
-    has_join = False
 
     def map(self, f, m):
         if isinstance(m, F1):
@@ -227,12 +223,7 @@ OPTION = OptionInstance()
 WRAP = WrapInstance()
 MULTI_SHAPE = MultiShapeInstance()
 
-INSTANCES = {
-    "list": LIST,
-    "option": OPTION,
-    "wrap": WRAP,
-    "multishape": MULTI_SHAPE,
-}
+INSTANCES = {instance.name: instance for instance in (LIST, OPTION, WRAP, MULTI_SHAPE)}
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +268,10 @@ def pythagorean_triples(n: int, strict: bool = False) -> list[tuple[int, int, in
     and never tries x = y (twice a square is not a square).
     """
     bind = LIST.bind
-    ns = list(range(1, n + 1))
-    keep = lambda x, y, z: [(x, y, z)] if x * x + y * y == z * z else []
-    if strict:
-        return bind(ns, lambda x:
-                    bind(list(range(x + 1, n + 1)), lambda y:
-                         bind(list(range(y + 1, n + 1)), lambda z: keep(x, y, z))))
-    return bind(ns, lambda x: bind(ns, lambda y: bind(ns, lambda z: keep(x, y, z))))
+    sides = lambda previous: list(range(previous + 1 if strict else 1, n + 1))
+    return bind(sides(0), lambda x:
+                bind(sides(x), lambda y:
+                     bind(sides(y), lambda z: [(x, y, z)] if x * x + y * y == z * z else [])))
 
 
 def guarded_sqrt(x: float) -> Option:

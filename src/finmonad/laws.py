@@ -126,61 +126,58 @@ def _multi_shape_values() -> tuple:
     return plain + lists + pairs + tagged
 
 
+def _random_shape(rng, draw):
+    pick = rng.randrange(4)
+    if pick == 0:
+        return F1(draw())
+    if pick == 1:
+        return F2([draw() for _ in range(rng.randint(0, 5))])
+    if pick == 2:
+        return F3((draw(), draw()))
+    return F4(draw())
+
+
+# per built-in instance: its curated values, its forced degenerate values
+# (built fresh, since LIST's are lists), one random value drawn from
+# `(rng, draw)`, and its Kleisli panel
+_PANELS = {
+    LIST: (_list_values, lambda: [[], [0]],
+           lambda rng, draw: [draw() for _ in range(rng.randint(0, 6))], _LIST_KLEISLI),
+    OPTION: (_option_values, lambda: [NOTHING, Just(0)],
+             lambda rng, draw: NOTHING if rng.random() < 0.2 else Just(draw()), _OPTION_KLEISLI),
+    WRAP: (_wrap_values, lambda: [Wrap(0)], lambda rng, draw: Wrap(draw()), ()),
+    MULTI_SHAPE: (_multi_shape_values, list, _random_shape, ()),
+}
+
+
+def _panels(instance: ContainerInstance, kind: str) -> tuple:
+    if instance not in _PANELS:
+        raise ValueError(f"no {kind} generators for {instance!r}")
+    return _PANELS[instance]
+
+
 def default_generators(instance: ContainerInstance) -> Generators:
     """The stock panels for one of the built-in instances."""
-    if instance is LIST:
-        return Generators(_list_values(), _ELEMENTS, _FUNCTIONS, _LIST_KLEISLI)
-    if instance is OPTION:
-        return Generators(_option_values(), _ELEMENTS, _FUNCTIONS, _OPTION_KLEISLI)
-    if instance is WRAP:
-        return Generators(_wrap_values(), _ELEMENTS, _FUNCTIONS, ())
-    if instance is MULTI_SHAPE:
-        return Generators(_multi_shape_values(), _ELEMENTS, _FUNCTIONS, ())
-    raise ValueError(f"no default generators for {instance!r}")
+    curated, _, _, kleisli = _panels(instance, "default")
+    return Generators(curated(), _ELEMENTS, _FUNCTIONS, kleisli)
 
 
 def random_generators(instance: ContainerInstance, *, seed: int = 0, size: int = 200) -> Generators:
     """Seeded random panels for sweeps larger than the curated defaults.
 
     The same seed and size always give the same panels, so reports stay
-    reproducible. Degenerate values are force-included up front: two for LIST
-    ([] and [0]) and OPTION (NOTHING and Just(0)), one for WRAP (Wrap(0)),
-    none for MULTI_SHAPE. The function panels are shared with the defaults.
-    `size` is the number of values and must be at least 2, the room LIST and
-    OPTION need for theirs.
+    reproducible. The instance's forced degenerate values come first, then
+    random ones up to `size` values. The function panels are shared with the
+    defaults. `size` must be at least 2, the room LIST and OPTION need for
+    their forced values.
     """
     if size < 2:
         raise ValueError(f"random panels need a size of at least 2, not {size}")
+    _, forced, random_value, kleisli = _panels(instance, "random")
     rng = random.Random(seed)
     draw = lambda: rng.randint(-100, 100)
-
-    if instance is LIST:
-        values = [[], [0]]
-        values += [[draw() for _ in range(rng.randint(0, 6))] for _ in range(size - 2)]
-        kleisli = _LIST_KLEISLI
-    elif instance is OPTION:
-        values = [NOTHING, Just(0)]
-        values += [NOTHING if rng.random() < 0.2 else Just(draw()) for _ in range(size - 2)]
-        kleisli = _OPTION_KLEISLI
-    elif instance is WRAP:
-        values = [Wrap(0)] + [Wrap(draw()) for _ in range(size - 1)]
-        kleisli = ()
-    elif instance is MULTI_SHAPE:
-        def shape():
-            pick = rng.randrange(4)
-            if pick == 0:
-                return F1(draw())
-            if pick == 1:
-                return F2([draw() for _ in range(rng.randint(0, 5))])
-            if pick == 2:
-                return F3((draw(), draw()))
-            return F4(draw())
-
-        values = [shape() for _ in range(size)]
-        kleisli = ()
-    else:
-        raise ValueError(f"no random generators for {instance!r}")
-
+    values = forced()
+    values += [random_value(rng, draw) for _ in range(size - len(values))]
     elements = tuple(sorted({0, 1, -1, *(draw() for _ in range(17))}))
     return Generators(tuple(values), elements, _FUNCTIONS, kleisli)
 
@@ -230,9 +227,10 @@ def run_suite(instance: ContainerInstance, gen: Generators | None = None) -> lis
     """Every law applicable to the instance, in a fixed order."""
     if gen is None:
         gen = default_generators(instance)
+    defines = lambda op: getattr(type(instance), op) is not getattr(ContainerInstance, op)
     reports = check_functor_laws(instance, gen)
-    if instance.has_unit and instance.has_join:
+    if defines("unit") and defines("join"):
         reports += check_monad_laws(instance, gen)
-    if instance.has_join:
+    if defines("join"):
         reports.append(check_bind_join_coherence(instance, gen))
     return reports

@@ -83,6 +83,16 @@ def test_option_join():
     assert OPTION.join(NOTHING) is NOTHING
 
 
+def test_option_join_refuses_a_payload_that_is_not_an_option():
+    with pytest.raises(TypeError, match=r"^join expects a nested option, got Just\(3\)$"):
+        OPTION.join(Just(3))
+
+
+def test_multi_shape_map_refuses_a_value_of_no_shape():
+    with pytest.raises(TypeError, match="^not a multishape value: 3$"):
+        MULTI_SHAPE.map(lambda x: x, 3)
+
+
 def test_join_unsupported_shapes():
     with pytest.raises(UnsupportedOperationError):
         WRAP.join(Wrap(Wrap(1)))

@@ -77,6 +77,11 @@ def test_unknown_table_key_rejected():
         make_function(make_finite_set([1]), make_finite_set(["a"]), {1: "a", 2: "a"})
 
 
+def test_an_atom_of_no_admissible_kind_is_refused():
+    with pytest.raises(TypeError, match="^not an admissible atom: 1.5$"):
+        make_finite_set([1.5])
+
+
 def test_apply_outside_domain():
     with pytest.raises(NotInDomainError):
         apply(parity_arrow(), 99)

@@ -5,6 +5,7 @@ from conftest import load_golden
 
 from finmonad import laws
 from finmonad.containers import (
+    ContainerInstance,
     F1,
     F4,
     Just,
@@ -189,6 +190,58 @@ def test_functor_checks_cover_the_cross_product():
 
 
 # ---------------------------------------------------------------------------
+# an instance gets the laws of the operations its class defines
+# ---------------------------------------------------------------------------
+
+class MapOnly(ContainerInstance):
+    """A list family that defines map and nothing else."""
+
+    name = "map-only"
+
+    def map(self, f, m):
+        return [f(x) for x in m]
+
+
+class MapUnit(MapOnly):
+    name = "map-unit"
+
+    def unit(self, x):
+        return [x]
+
+
+class MapJoin(MapOnly):
+    name = "map-join"
+
+    def join(self, mm):
+        return [x for inner in mm for x in inner]
+
+
+class MapUnitJoin(MapJoin):
+    name = "map-unit-join"
+
+    def unit(self, x):
+        return [x]
+
+
+FUNCTOR_LAWS = ["functor-identity", "functor-composition"]
+MONAD_LAWS = ["monad-left-identity", "monad-right-identity", "monad-associativity"]
+
+
+@pytest.mark.parametrize("instance,expected", [
+    (MapOnly(), FUNCTOR_LAWS),
+    (MapUnit(), FUNCTOR_LAWS),
+    (MapJoin(), FUNCTOR_LAWS + ["bind-join-coherence"]),
+    (MapUnitJoin(), FUNCTOR_LAWS + MONAD_LAWS + ["bind-join-coherence"]),
+    (DroppyListInstance(), FUNCTOR_LAWS + MONAD_LAWS + ["bind-join-coherence"]),
+], ids=["map", "map-unit", "map-join", "map-unit-join", "list-join"])
+def test_an_instance_is_checked_against_the_operations_its_class_defines(instance, expected):
+    reports = run_suite(instance, default_generators(LIST))
+    assert [r.law for r in reports] == expected
+    if not isinstance(instance, DroppyListInstance):
+        assert all(r.passed for r in reports), [r.to_line() for r in reports]
+
+
+# ---------------------------------------------------------------------------
 # seeded random panels
 # ---------------------------------------------------------------------------
 
@@ -207,6 +260,23 @@ def test_random_panels_refuse_sizes_below_two():
             with pytest.raises(ValueError, match="at least 2"):
                 random_generators(instance, size=size)
         assert len(random_generators(instance, size=2).values) == 2
+
+
+def test_panels_refuse_an_instance_they_have_no_entry_for():
+    droppy = DroppyListInstance()
+    with pytest.raises(ValueError, match="^no default generators for <instance droppy-list>$"):
+        default_generators(droppy)
+    with pytest.raises(ValueError, match="^no random generators for <instance droppy-list>$"):
+        random_generators(droppy)
+    # the size is refused before the instance is looked up
+    with pytest.raises(ValueError, match="at least 2"):
+        random_generators(droppy, size=1)
+
+
+def test_forced_values_are_built_fresh_on_each_call():
+    first = random_generators(LIST, size=2)
+    first.values[0].append(9)
+    assert random_generators(LIST, size=2).values == ([], [0])
 
 
 def test_random_panel_reports_match_the_golden():

@@ -373,6 +373,11 @@ def test_associativity_sampled_at_size_three():
     assert "sampled" in report.law and "seed=42" in report.law
 
 
+def test_associativity_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        check_associativity(make_finite_set([1, 2]), mode="bogus")
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_sampled_associativity_refuses_fewer_than_one_sample(samples):
     with pytest.raises(ValueError, match="at least one sample"):

@@ -113,6 +113,11 @@ def test_copies_and_pickles_rebuild_an_equal_record(copier):
     assert copier(ETA).component_at is eta_component
 
 
+def test_a_record_refuses_the_wrong_number_of_fields():
+    with pytest.raises(TypeError, match="^Generators takes 4 fields, got 2$"):
+        Generators(1, 2)
+
+
 def test_match_patterns_bind_fields_by_position():
     match Just(3):
         case Just(x):
