@@ -12,7 +12,9 @@ fields are filled on first use: a set's `member_set`, and, in the powerset
 layer's private subclasses, a set's `elements` and hash, a powerset's μ,
 and an arrow's `pairs` and `table`. Each stays unset until then. Each fill
 computes a value fixed at construction, so threads that race to fill it
-store equal ones.
+store equal ones. The powerset layer pauses the cyclic collector, which is
+process-wide, while it fills a table of atoms, so a race between threads can
+change only when the collector runs, never a result.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ never silently degraded.
 
 from __future__ import annotations
 
+import gc
 import random
 from collections.abc import Callable
 from functools import cache, lru_cache, partial, reduce
@@ -68,11 +69,12 @@ class _PowerSet(FiniteSet):
             return self.union
         if name not in ("elements", "_hash"):
             raise AttributeError(name)
-        members = [()]
-        for x in reversed(self.position):  # the doubling that orders `mask`
-            members[1:1] = [(x,) + t for t in members]
-        self.elements = tuple(map(FiniteSet, members))
-        self._hash = hash(self.elements)
+        with _collector_paused():
+            members = [()]
+            for x in reversed(self.position):  # the doubling that orders `mask`
+                members[1:1] = [(x,) + t for t in members]
+            self.elements = tuple(map(FiniteSet, members))
+            self._hash = hash(self.elements)
         return getattr(self, name)
 
     def atom(self, m: int) -> FiniteSet:
@@ -84,6 +86,23 @@ class _PowerSet(FiniteSet):
         if not isinstance(subset, FiniteSet) or not all(x in self.position for x in subset):
             raise NotInDomainError(f"{subset!r} is not an element of {self!r}")
         return sum(1 << self.position[x] for x in subset)
+
+
+class _collector_paused:
+    """Pause the cyclic collector while a fill builds a table of atoms, which are
+    acyclic and stay alive, so every pass over them would scan and free nothing.
+    It is turned back on only if it was on before, so a nested fill leaves it off.
+    Its first pass after that, at the next allocation, scans the new atoms."""
+
+    __slots__ = ("was_on",)
+
+    def __enter__(self) -> None:
+        self.was_on = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self.was_on:
+            gc.enable()
 
 
 def _images(bits) -> list[int]:
@@ -111,8 +130,10 @@ class _Indexed(FiniteFunction):
     def __getattr__(self, name: str):
         # reached only while `pairs` or `table` is unset
         if name == "pairs":
-            atoms = {c: self.codomain.atom(c) for c in set(self.index)}
-            self.pairs = tuple(zip(self.domain.elements, [atoms[self.index[m]] for m in self.domain.mask]))
+            index, domain, codomain = self.index, self.domain, self.codomain  # read once, not per atom
+            with _collector_paused():
+                atoms = {c: codomain.atom(c) for c in set(index)}
+                self.pairs = tuple(zip(domain.elements, [atoms[index[m]] for m in domain.mask]))
         elif name == "table":
             self.table = dict(self.pairs)
         else:

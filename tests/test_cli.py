@@ -3,9 +3,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import assert_transcript, load_golden
-from finmonad import cli
+from finmonad import cli, powerset
 from finmonad.cli import main as cli_main
 from finmonad.containers import F1, F4
+from finmonad.finset import FiniteSet
 from finmonad.reports import Counterexample, LawReport
 
 
@@ -129,6 +130,22 @@ def test_powerset_check_max_size_four_at_default_samples(run_cli):
     lines = out.splitlines()
     assert "PASS monad-unit[exhaustive] @ {1,2,3,4} checked=65536" in lines
     assert "PASS monad-associativity[sampled,seed=42,n=10000] @ {1,2,3,4} checked=10000" in lines
+
+
+def test_powerset_check_max_size_four_builds_no_atom_table(run_cli, monkeypatch):
+    # the README's claim, as a count on cold caches: no 65,536-atom fill, so no
+    # pause of the collector either, is on the CLI path (about 200 sets are built)
+    built = []
+    construct = FiniteSet.__init__
+
+    def counting(self, elements=()):
+        built.append(elements)
+        construct(self, elements)
+
+    powerset._powerset_per_spelling.cache_clear()
+    monkeypatch.setattr(FiniteSet, "__init__", counting)
+    code, _ = run_cli("powerset-check", "--max-size", "4")
+    assert code == 0 and len(built) <= 1_000
 
 
 def test_laws_report_transcript_is_pinned(run_cli):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -681,6 +682,49 @@ def test_mu_pairs_build_their_atoms_once(monkeypatch):
     equal = make_finite_set(range(1, 5))
     built.clear()
     assert equal is not space and mu_component(equal).pairs is first and built == []
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_atom_table_fills_pause_the_collector_and_restore_it(monkeypatch, enabled):
+    # counts and states, not timings: a cold fill of mu's pairs at {1,2,3,4}
+    # builds 65,536 atoms without a collection, and leaves the collector as it
+    # found it, also when the fill raises
+    collections = []
+
+    def counting(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    def cold_pairs():
+        powerset._powerset_per_spelling.cache_clear()
+        return mu_component(make_finite_set(range(1, 5))).pairs
+
+    construct, calls = FiniteSet.__init__, []
+
+    def raising(self, elements=()):
+        calls.append(None)
+        if len(calls) == 1_000:  # inside the 65,536-atom fill of P(P(X)), itself inside the pairs fill
+            raise RuntimeError("planted")
+        construct(self, elements)
+
+    was_on = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        gc.collect()  # start from empty generations, so only the fills' own allocations count
+        gc.callbacks.append(counting)
+        try:
+            assert len(cold_pairs()) == 65_536
+        finally:
+            gc.callbacks.remove(counting)
+        assert collections == [] and gc.isenabled() == enabled
+        with monkeypatch.context() as patch:
+            patch.setattr(FiniteSet, "__init__", raising)
+            with pytest.raises(RuntimeError, match="planted"):
+                cold_pairs()
+        assert len(calls) == 1_000 and gc.isenabled() == enabled
+    finally:
+        gc.enable() if was_on else gc.disable()
+        powerset._powerset_per_spelling.cache_clear()
 
 
 def test_naturality_sweeps_build_no_lifted_tables(monkeypatch):
