@@ -112,7 +112,10 @@ class FiniteSet:
         return len(self.elements)
 
     def __contains__(self, atom: Atom) -> bool:
-        return atom in self.member_set
+        try:
+            return atom in self.member_set
+        except TypeError:  # an unhashable value is no atom, so no member
+            return False
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -192,7 +195,7 @@ class FiniteFunction:
         # use can map one atom without it
         try:
             return self.table[x]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: x is unhashable, so no atom
             raise NotInDomainError(f"{x!r} is not in the domain of {self!r}") from None
 
 
@@ -210,12 +213,11 @@ def make_function(
     items = table.items() if isinstance(table, Mapping) else table
     mapping: dict[Atom, Atom] = {}
     for key, value in items:
+        if key not in domain:  # first, so an unhashable key is never hashed
+            raise NotInDomainError(f"table key {key!r} is not a domain element")
         if key in mapping:
             raise DuplicateKeyError(f"{key!r} is mapped more than once")
         mapping[key] = value
-    for key in mapping:
-        if key not in domain:
-            raise NotInDomainError(f"table key {key!r} is not a domain element")
     for x in domain:
         if x not in mapping:
             raise MissingMappingError(f"domain element {x!r} has no mapping")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gc
 import random
-from collections.abc import Callable
 from functools import cache, lru_cache, partial, reduce
 
 from .containers import Record
@@ -240,12 +239,12 @@ def _coding(space: FiniteSet):
     return range(len(space)), space.elements.__getitem__, space.elements.index
 
 
-def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> Callable[[int], int]:
-    """f as a map from the codes of `dom` to those of `cod`, the checker's own
-    objects. An `_Indexed` arrow is read from its index, any other through `apply`
-    one code at a time on first use: a hand-built table is what gets checked."""
+def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> tuple:
+    """f as a step from `dom` to `cod`, the checker's own objects: its map on atoms and
+    its map on codes, read from an `_Indexed` arrow's index, else through `apply` one
+    code at a time on first use: a hand-built table is what gets checked."""
     if isinstance(f, _Indexed):
-        return f.index.__getitem__
+        return partial(apply, f), f.index.__getitem__
     atom, code = _coding(dom)[1], _coding(cod)[2]
 
     def read(c: int) -> int:
@@ -255,19 +254,25 @@ def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> Callable[[int],
         except (ValueError, NotInDomainError):
             raise CodomainViolationError(f"{f!r} maps to {image!r}, outside its codomain") from None
 
-    return cache(read)
+    return partial(apply, f), cache(read)
 
 
-def _compare(dom: FiniteSet, cod: FiniteSet, lhs, rhs, labels, replay) -> Counterexample | None:
-    """Compare two composites, each a sequence of maps on codes applied first to last
-    from `dom` into `cod`, at every code of `dom` in canonical order. The first
-    difference becomes atoms, with `replay(witness)` to recompute both sides; else None."""
+def _replay(sides, value) -> tuple:
+    """Both sides at `value` again, each a sequence of maps on atoms applied first to last."""
+    return tuple(reduce(lambda x, m: m(x), maps, value) for maps in sides)
+
+
+def _compare(dom: FiniteSet, cod: FiniteSet, lhs, rhs, labels) -> Counterexample | None:
+    """Compare two composites, each a sequence of steps (see `_codes`) applied first to
+    last from `dom` into `cod`, by their code maps at every code of `dom` in canonical
+    order. The first difference becomes atoms, replayed from the atom maps; else None."""
     codes, atom = _coding(dom)[:2]
-    sides = (reduce(lambda side, m: map(m, side), maps, codes) for maps in (lhs, rhs))
+    sides = (reduce(lambda side, step: map(step[1], side), steps, codes) for steps in (lhs, rhs))
     for c, left, right in zip(codes, *sides):
         if left != right:
             value, cod_atom = atom(c), _coding(cod)[1]
-            return Counterexample(value, cod_atom(left), cod_atom(right), labels, partial(replay, value))
+            maps = tuple(tuple(m for m, _ in steps) for steps in (lhs, rhs))  # no code table outlives the check
+            return Counterexample(value, cod_atom(left), cod_atom(right), labels, partial(_replay, maps, value))
     return None
 
 
@@ -279,13 +284,12 @@ def _naturality(transform: NatTransform, subject: str, dom: FiniteSet, cod: Fini
     s_dom, s_cod = source.on_object(dom), source.on_object(cod)
     t_dom, t_cod = target.on_object(dom), target.on_object(cod)
     at_dom, at_cod = transform.component(dom), transform.component(cod)
-    codes_dom, codes_cod = _codes(at_dom, s_dom, t_dom), _codes(at_cod, s_cod, t_cod)
+    step_dom, step_cod = _codes(at_dom, s_dom, t_dom), _codes(at_cod, s_cod, t_cod)
     witness = None
     for f in arrows:
         source_f, target_f = source.on_arrow(f), target.on_arrow(f)
-        lhs, rhs = (codes_dom, _codes(target_f, t_dom, t_cod)), (_codes(source_f, s_dom, s_cod), codes_cod)
-        if witness := _compare(s_dom, t_cod, lhs, rhs, (), lambda x: (
-                apply(target_f, apply(at_dom, x)), apply(at_cod, apply(source_f, x)))):
+        lhs, rhs = (step_dom, _codes(target_f, t_dom, t_cod)), (_codes(source_f, s_dom, s_cod), step_cod)
+        if witness := _compare(s_dom, t_cod, lhs, rhs, ()):
             break
     return LawReport(f"naturality[{transform.name}]", subject, len(s_dom) * len(arrows), witness)
 
@@ -323,14 +327,12 @@ def check_unit_laws(
     power = powerset_object(space)
     mu_x = mu.component(space)
     families = powerset_object(power)
-    codes_mu, witness = _codes(mu_x, families, power), None
+    step_mu, witness = _codes(mu_x, families, power), None
     for eta_at, label in (
         (eta.component(power), "mu∘eta_P"),
         (powerset_arrow(eta.component(space)), "mu∘P(eta)"),
     ):
-        lhs = (_codes(eta_at, power, families), codes_mu)
-        replay = lambda s, eta_at=eta_at: (apply(mu_x, apply(eta_at, s)), s)
-        witness = witness or _compare(power, power, lhs, (), (label,), replay)
+        witness = witness or _compare(power, power, (_codes(eta_at, power, families), step_mu), (), (label,))
     return LawReport("monad-unit[exhaustive]", show(space), len(mu_x.domain), witness)
 
 
@@ -354,7 +356,8 @@ def check_associativity(
     They read the handed mu at `space` only where their samples reach, so cost
     follows `samples` (at least 1), not |P(P(space))|. Both modes read each
     handed component through `_codes`, stop at the first witness and build
-    atoms only for it. The law name records the mode, seed and sample count.
+    atoms only for it. Exhaustive mode writes each side once, as steps; both modes
+    replay P(mu) by its definition. The law name records the mode, seed and sample count.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -366,23 +369,19 @@ def check_associativity(
     power = powerset_object(space)
     mu_x = mu.component(space)
     families = powerset_object(power)
-    mu_p = mu.component(power) if mode == "exhaustive" else None
-    codes_mu, labels = _codes(mu_x, families, power), ("mu∘mu_P", "mu∘P(mu)")
+    step_mu, labels = _codes(mu_x, families, power), ("mu∘mu_P", "mu∘P(mu)")
+    apply_mu, codes_mu = step_mu
+    lift_mu = lambda family: make_finite_set(map(apply_mu, family))  # P(mu_x) by its definition
 
-    def replay(value):
-        # both sides again from the atoms: mu at P(space) as handed, or as union when
-        # sampling, and P(mu_x) by its definition
-        outer = make_finite_set(s for family in value for s in family) if mu_p is None else apply(mu_p, value)
-        return apply(mu_x, outer), apply(mu_x, make_finite_set(apply(mu_x, g) for g in value))
-
-    # P(mu_x) sends a family to the OR of its members' lifts, 1 << the position of mu_x(member)
+    # on codes, P(mu_x) sends a family to the OR of its members' lifts, 1 << the position of mu_x(member)
     if mode == "exhaustive":
-        triples = powerset_object(families)
+        mu_p, triples = mu.component(power), powerset_object(families)
         lifted = _images([1 << power.mask.index(codes_mu(m)) for m in families.mask])  # reads every entry
-        lhs, rhs = (_codes(mu_p, triples, families), codes_mu), (lifted.__getitem__, codes_mu)
-        witness = _compare(triples, power, lhs, rhs, labels, replay)
+        lhs, rhs = (_codes(mu_p, triples, families), step_mu), ((lift_mu, lifted.__getitem__), step_mu)
+        witness = _compare(triples, power, lhs, rhs, labels)
         return LawReport("monad-associativity[exhaustive]", show(space), len(triples.mask), witness)
 
+    flatten = lambda family: make_finite_set(s for member in family for s in member)  # mu_P, taken to be union
     rng, witness, masks = random.Random(seed), None, families.mask
     draw, coin, n = rng.getrandbits, rng.random, len(masks)
     k, lift = n.bit_length(), [None] * n  # lift by draw position, filled as members are drawn
@@ -399,6 +398,7 @@ def check_associativity(
         lhs, rhs = codes_mu(union), codes_mu(image)
         if lhs != rhs:
             value = make_finite_set(families.atom(masks[j]) for j in drawn)
-            witness = Counterexample(value, power.atom(lhs), power.atom(rhs), labels, partial(replay, value))
+            replay = partial(_replay, ((flatten, apply_mu), (lift_mu, apply_mu)), value)
+            witness = Counterexample(value, power.atom(lhs), power.atom(rhs), labels, replay)
             break
     return LawReport(f"monad-associativity[sampled,seed={seed},n={samples}]", show(space), samples, witness)

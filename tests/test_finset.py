@@ -87,6 +87,20 @@ def test_apply_outside_domain():
         apply(parity_arrow(), 99)
 
 
+def test_an_unhashable_value_is_a_named_fault_not_a_type_error():
+    # a list is no atom: as a value it lies outside the codomain, as a key,
+    # a member or an argument outside the domain or carrier
+    space = make_finite_set([1, 2])
+    with pytest.raises(CodomainViolationError):
+        make_function(space, space, {1: [1], 2: 1})
+    with pytest.raises(NotInDomainError):
+        make_function(space, space, [([1], 1), (1, 1), (2, 1)])
+    with pytest.raises(NotInDomainError):
+        make_subset(space, [[1]])
+    with pytest.raises(NotInDomainError):
+        apply(identity(space), [1])
+
+
 def test_arrow_equality_requires_same_endpoints():
     domain = make_finite_set([1, 2])
     narrow = make_function(domain, domain, {1: 1, 2: 2})

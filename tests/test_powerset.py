@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -535,6 +536,25 @@ def test_corrupted_multiplication_fails_naturality_with_witness():
     assert all(report.counterexample.recheck() for report in failures)
 
 
+def test_a_failing_exhaustive_witness_keeps_no_code_table_alive():
+    # the replay holds the sides' maps on atoms only: kept alive, P(mu)'s table on
+    # codes (65,536 entries at {1,2}) would cost about half a megabyte
+    space = make_finite_set([1, 2])
+    broken_mu = corrupt_mu_at(space)
+    check_associativity(space, mu=broken_mu)  # warm the caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_associativity(space, mu=broken_mu)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.counterexample.recheck()
+    assert retained < 100_000, f"{retained} bytes retained"
+
+
 def test_a_failing_naturality_sweep_stops_lifting_at_its_witness(monkeypatch):
     # the two failing size pairs of a sweep with mu corrupted at {1,2} lift no
     # arrow past their first witness, so the sweep lifts fewer than the honest one
@@ -868,7 +888,7 @@ def sampled_line_by_randrange(space, mu, seed=42, samples=10_000):
     """The sampled associativity line as the loop wrote it when it drew each
     member with `rng.randrange`: the oracle for the inlined draw."""
     power, families = powerset_object(space), powerset_object(powerset_object(space))
-    codes_mu = powerset._codes(mu.component(space), families, power)
+    _, codes_mu = powerset._codes(mu.component(space), families, power)
     rng, witness = random.Random(seed), None
     lift = [None] * len(families.mask)
     for _ in range(samples):
