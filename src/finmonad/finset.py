@@ -7,14 +7,14 @@ be checked by brute force instead of taken on faith.
 
 Everything is immutable after construction and safe to share across threads.
 Sets keep their elements in one canonical sorted order, which makes equality
-of sets, functions, and nested subsets plain structural comparison. Some
-fields are filled on first use: a set's `member_set`, and, in the powerset
-layer's private subclasses, a set's `elements` and hash, a powerset's μ,
-and an arrow's `pairs` and `table`. Each stays unset until then. Each fill
-computes a value fixed at construction, so threads that race to fill it
-store equal ones. The powerset layer pauses the cyclic collector, which is
-process-wide, while it fills a table of atoms, so a race between threads can
-change only when the collector runs, never a result.
+of sets, functions, and nested subsets plain structural comparison. Nothing is
+hashed or indexed before a lookup needs it: a set's hash and `member_set`, an
+arrow's `table`, and, in the powerset layer's private subclasses, a set's
+`elements`, a powerset's μ and an arrow's `pairs` each stay unset until their
+first read. Each fill computes a value fixed at construction, so threads that
+race to fill it store equal ones. The powerset layer pauses the cyclic
+collector, which is process-wide, while it fills a table of atoms, so a race
+between threads can change only when the collector runs, never a result.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ class FiniteSet:
 
     def __init__(self, elements: tuple[Atom, ...] = ()):
         self.elements = elements
-        self._hash = hash(elements)
 
     @property
     def member_set(self) -> frozenset:
@@ -122,10 +121,14 @@ class FiniteSet:
             return True
         if not isinstance(other, FiniteSet):
             return NotImplemented
-        return self._hash == other._hash and self.elements == other.elements
+        return self.elements == other.elements
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:  # the slot stays unset until the first hash
+            self._hash = hash(self.elements)
+            return self._hash
 
     def __repr__(self) -> str:
         if len(self) <= 8:
@@ -154,27 +157,31 @@ def make_subset(carrier: FiniteSet, members: Iterable[Atom]) -> FiniteSet:
 class FiniteFunction:
     """A total function between two finite sets, stored as an explicit table.
 
-    `table` maps each domain element to its image and is the one copy of the
-    data; `pairs` derives the (x, f(x)) entries from it, in canonical domain
-    order. The powerset layer's index-backed arrows invert this: they keep
-    one `pairs` tuple, built on first read, and build `table` from it on its
-    own first read. Equality is categorical arrow identity: domain, codomain,
-    and table must all agree.
+    `pairs` holds the (x, f(x)) entries and is the one copy of the data; `table`
+    is a dict over them, built on the first lookup. The powerset layer's
+    index-backed arrows build `pairs` too on first read. Equality is
+    categorical arrow identity: domain, codomain, and table must all agree.
 
     The constructor trusts its input: one pair per domain element, in
-    canonical domain order. Use `make_function` for validation.
+    canonical domain order, since the powerset checkers read an entry by
+    position. Use `make_function` for validation.
     """
 
-    __slots__ = ("domain", "codomain", "table")
+    __slots__ = ("domain", "codomain", "pairs", "_table")
 
     def __init__(self, domain: FiniteSet, codomain: FiniteSet, pairs: Iterable[tuple[Atom, Atom]]):
         self.domain = domain
         self.codomain = codomain
-        self.table = dict(pairs)
+        self.pairs = tuple(pairs)
 
     @property
-    def pairs(self) -> tuple[tuple[Atom, Atom], ...]:
-        return tuple(self.table.items())
+    def table(self) -> dict:
+        """The pairs as a dict, built on first use."""
+        try:
+            return self._table
+        except AttributeError:  # the slot stays unset until then
+            self._table = dict(self.pairs)
+            return self._table
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -242,7 +249,7 @@ def compose(outer: FiniteFunction, inner: FiniteFunction) -> FiniteFunction:
     return FiniteFunction(
         inner.domain,
         outer.codomain,
-        tuple((x, table[y]) for x, y in inner.table.items()),
+        tuple((x, table[y]) for x, y in inner.pairs),
     )
 
 

@@ -62,19 +62,18 @@ class _PowerSet(FiniteSet):
         return len(self.mask)
 
     def __getattr__(self, name: str):
-        # reached only while `elements` and `_hash`, `union`, or `_member_set` is unset
+        # reached only while `elements`, `union`, `_hash` or `_member_set` is unset
         if name == "union":  # μ at `space`: a family of subsets maps to its union
             self.union = _Indexed(powerset_object(self), self, _images(self.mask))
             return self.union
-        if name not in ("elements", "_hash"):
+        if name != "elements":
             raise AttributeError(name)
         with _collector_paused():
             members = [()]
             for x in reversed(self.position):  # the doubling that orders `mask`
                 members[1:1] = [(x,) + t for t in members]
             self.elements = tuple(map(FiniteSet, members))
-            self._hash = hash(self.elements)
-        return getattr(self, name)
+        return self.elements
 
     def atom(self, m: int) -> FiniteSet:
         """The subset whose bitmask is m."""
@@ -85,6 +84,16 @@ class _PowerSet(FiniteSet):
         if not isinstance(subset, FiniteSet) or not all(x in self.position for x in subset):
             raise NotInDomainError(f"{subset!r} is not an element of {self!r}")
         return sum(1 << self.position[x] for x in subset)
+
+    def rank(self, m: int) -> int:
+        """The position of bitmask m in canonical order. Each set bit s after the one before, p
+        (or -1), passes the prefix so far and the 2^(n-1-p) - 2^(n-s) extending it between p and s."""
+        top = 1 << len(self.position)
+        rank, skip = 0, top  # skip is 2^(n-1-p)
+        while m:
+            step = top // (m & -m)  # 2^(n-s)
+            rank, skip, m = rank + 1 + skip - step, step >> 1, m & (m - 1)
+        return rank
 
 
 class _collector_paused:
@@ -118,7 +127,7 @@ class _Indexed(FiniteFunction):
     kept; its `table` is built from them on its own first read. `apply` maps one
     atom without either."""
 
-    __slots__ = ("index", "pairs")
+    __slots__ = ("index",)
 
     def __init__(self, domain: _PowerSet, codomain: _PowerSet, index: list[int]):
         self.domain, self.codomain, self.index = domain, codomain, index
@@ -127,17 +136,14 @@ class _Indexed(FiniteFunction):
         return self.codomain.atom(self.index[self.domain.mask_of(x)])
 
     def __getattr__(self, name: str):
-        # reached only while `pairs` or `table` is unset
-        if name == "pairs":
-            index, domain, codomain = self.index, self.domain, self.codomain  # read once, not per atom
-            with _collector_paused():
-                atoms = {c: codomain.atom(c) for c in set(index)}
-                self.pairs = tuple(zip(domain.elements, [atoms[index[m]] for m in domain.mask]))
-        elif name == "table":
-            self.table = dict(self.pairs)
-        else:
+        # reached only while `pairs` or `_table` is unset
+        if name != "pairs":
             raise AttributeError(name)
-        return getattr(self, name)
+        index, domain, codomain = self.index, self.domain, self.codomain  # read once, not per atom
+        with _collector_paused():
+            atoms = {c: codomain.atom(c) for c in set(index)}
+            self.pairs = tuple(zip(domain.elements, [atoms[index[m]] for m in domain.mask]))
+        return self.pairs
 
 
 def powerset_object(space: FiniteSet) -> FiniteSet:
@@ -241,14 +247,20 @@ def _coding(space: FiniteSet):
 
 def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> tuple:
     """f as a step from `dom` to `cod`, the checker's own objects: its map on atoms and
-    its map on codes, read from an `_Indexed` arrow's index, else through `apply` one
-    code at a time on first use: a hand-built table is what gets checked."""
+    its map on codes, read from an `_Indexed` arrow's index, else one code at a time on
+    first use, so a hand-built table is what gets checked: from pairs[i] when its key
+    is the atom at position i of `dom`, else through `apply`."""
     if isinstance(f, _Indexed):
         return partial(apply, f), f.index.__getitem__
     atom, code = _coding(dom)[1], _coding(cod)[2]
+    rank, pairs = dom.rank if isinstance(dom, _PowerSet) else int, f.pairs
 
     def read(c: int) -> int:
-        image = apply(f, atom(c))
+        i = rank(c)
+        if i < len(pairs) and (pair := pairs[i])[0] is dom.elements[i]:
+            image = pair[1]
+        else:
+            image = apply(f, atom(c))
         try:  # only the image's lookup: an atom missing from f's table stays NotInDomainError
             return code(image)
         except (ValueError, NotInDomainError):
@@ -319,10 +331,11 @@ def check_unit_laws(
 
     The triangles say that inserting a subset into a singleton family, or
     turning each of its elements into a singleton, then taking the union,
-    gives the subset back. `checked` reports the size of the multiplication
-    table at this component, which is the exhaustive workload behind the
-    comparison. The `eta`/`mu` parameters exist so tests can plant corrupted
-    transformations and watch the check fail.
+    gives the subset back. The check walks μ∘η_P over every subset, then
+    μ∘P(η), and stops at the first witness. `checked` reports the size of
+    the multiplication table at this component, which is the exhaustive
+    workload behind the comparison. The `eta`/`mu` parameters exist so tests
+    can plant corrupted transformations and watch the check fail.
     """
     power = powerset_object(space)
     mu_x = mu.component(space)

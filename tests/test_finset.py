@@ -123,6 +123,13 @@ def test_equal_arrows_hash_alike():
     assert shuffled == ordered and ordered == shuffled and hash(shuffled) == hash(ordered)
 
 
+def test_sets_and_arrows_define_no_getattr():
+    # a class with __getattr__ keeps CPython 3.11 from specializing attribute
+    # loads on its instances, so every read of a set's or an arrow's slot would slow
+    for cls in (FiniteSet, FiniteFunction):
+        assert not hasattr(cls, "__getattr__")
+
+
 # ---------------------------------------------------------------------------
 # identity and composition
 # ---------------------------------------------------------------------------

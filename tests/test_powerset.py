@@ -109,6 +109,14 @@ def test_powerset_is_in_canonical_order():
         assert {s.member_set for s in power} == bitmask_oracle(space)
 
 
+def test_rank_is_the_position_of_a_bitmask():
+    spaces = [make_finite_set(range(n)) for n in range(5)]
+    spaces.append(powerset_object(make_finite_set(range(1, 5))))
+    for space in spaces:
+        power = powerset_object(space)
+        assert [power.rank(m) for m in power.mask] == list(range(len(power)))
+
+
 def test_rendering_does_not_depend_on_cache_history():
     # True == 1, so {False,True} == {0,1}; each spelling must render as itself
     # in either order, whichever of the two the powerset caches saw first
@@ -267,7 +275,7 @@ def test_index_backed_arrows_keep_one_pairs_tuple():
             assert arrow.pairs is arrow.pairs
             show(arrow)
             with pytest.raises(AttributeError):
-                FiniteFunction.table.__get__(arrow)
+                FiniteFunction._table.__get__(arrow)
             assert arrow.table == dict(arrow.pairs)
             assert_agrees_with_its_table(arrow)
 
@@ -387,18 +395,26 @@ def test_sampled_associativity_refuses_fewer_than_one_sample(samples):
 
 
 def test_sampled_associativity_reads_mu_only_where_samples_land(monkeypatch):
-    # a hand-built copy of mu is read through apply, one FiniteFunction._image call a read
+    # a hand-built copy of mu is read by position or through apply: one read of its
+    # pairs tuple, or one FiniteFunction._image call, a read
     reads = []
     image = FiniteFunction._image
     monkeypatch.setattr(FiniteFunction, "_image", lambda f, x: reads.append((f, x)) or image(f, x))
 
+    class Positional(tuple):
+        def __getitem__(self, i):
+            pair = tuple.__getitem__(self, i)
+            reads.append((self, pair[0]))
+            return pair
+
     def reads_of_a_copy(space, **kwargs):
         honest = mu_component(space)
         copy = FiniteFunction(honest.domain, honest.codomain, honest.pairs)
+        copy.pairs = Positional(copy.pairs)
         mu = NatTransform("mu-copy", MU.source, MU.target, lambda at: copy if at == space else mu_component(at))
         reads.clear()
         assert check_associativity(space, mu=mu, **kwargs).passed
-        return [x for f, x in reads if f is copy]
+        return [x for f, x in reads if f is copy or f is copy.pairs]
 
     sampled = reads_of_a_copy(make_finite_set(range(1, 5)), samples=100, seed=42)
     assert 0 < len(sampled) < 1000, f"{len(sampled)} reads of mu for 100 samples"
@@ -882,6 +898,53 @@ def test_sampled_associativity_lines_at_size_four_are_pinned():
         assert report.passed or report.counterexample.recheck(), report.to_line()
         lines.append(report.to_line())
     assert lines == ["PASS monad-associativity[sampled,seed=42,n=10000] @ {1,2,3,4} checked=10000"] * 8
+
+
+def handed_over(space, pairs):
+    """mu whose component at `space` is a hand-built arrow with these pairs."""
+    honest = mu_component(space)
+    copy = FiniteFunction(honest.domain, honest.codomain, pairs)
+    return copy, NatTransform("mu-corrupted", MU.source, MU.target,
+                              lambda at: copy if at == space else mu_component(at))
+
+
+def test_a_sampled_check_of_a_hand_built_mu_hashes_and_indexes_nothing():
+    # mu at {1,2,3,4} copied from its pairs with one entry corrupted, as the
+    # benchmark plants a defect: the check reads the copy's entries by
+    # position, so it builds no dict of them and hashes none of the 65,536 families
+    powerset._powerset_per_spelling.cache_clear()
+    space = make_finite_set(range(1, 5))
+    pairs = list(mu_component(space).pairs)
+    index = next(i for i, (family, _) in enumerate(pairs) if len(family) >= 2)
+    pairs[index] = (pairs[index][0], make_finite_set())  # the union of two subsets is not empty
+    copy, mu = handed_over(space, pairs)
+    assert check_associativity(space, samples=10_000, seed=42, mu=mu).checked == 10_000
+    with pytest.raises(AttributeError):
+        FiniteFunction._table.__get__(copy)
+    families = powerset_object(powerset_object(space))
+    assert [family for family in families if hasattr(family, "_hash")] == []
+
+
+def test_a_table_read_by_lookup_gives_the_lines_of_one_read_by_position():
+    # each mutant's pairs are handed over twice: aligned with the domain, and
+    # reversed, which no entry's position matches, so every read of that copy
+    # falls back to a lookup in its table
+    def assert_both_agree(space, mutants, **kwargs):
+        honest = mu_component(space)
+        for family, wrong in mutants:
+            aligned, lines = tuple((x, wrong if x is family else y) for x, y in honest.pairs), []
+            for pairs in (aligned, aligned[::-1]):
+                copy, mu = handed_over(space, pairs)
+                lines.append(check_associativity(space, mu=mu, **kwargs).to_line())
+                assert hasattr(copy, "_table") == (pairs is not aligned)
+            assert lines[0] == lines[1]
+
+    two = make_finite_set([1, 2])
+    honest = mu_component(two)
+    at_two = [(family, wrong) for family, right in honest.pairs for wrong in honest.codomain if wrong != right]
+    assert len(at_two) == 48
+    assert_both_agree(make_finite_set([1, 2, 3]), stride_at_size_three(), samples=10_000, seed=42)
+    assert_both_agree(two, at_two, mode="exhaustive")
 
 
 def sampled_line_by_randrange(space, mu, seed=42, samples=10_000):
