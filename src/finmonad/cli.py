@@ -1,15 +1,18 @@
 """Command-line front end: worked demos plus the law and coherence suites.
 
 Exit status: 0 when everything printed is as expected, 1 when a law check
-failed (unless the failure was explicitly expected), 2 on usage errors.
+failed (unless the failure was explicitly expected) or stdout was closed
+before every line was written, 2 on usage errors, including a `--report`
+file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from .containers import (
     F1,
@@ -130,6 +133,22 @@ def _printing(lines: Callable[[argparse.Namespace], list[str]]) -> Callable[[arg
     return handler
 
 
+def _cannot_write(path: str, exc: OSError):
+    """Say on stderr that the report file at `path` failed, and exit 2."""
+    print(f"finmonad: error: cannot write report {path}: {exc.strerror}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _save(line: str, report, path: str) -> None:
+    """Write `line` to the open report file; if that fails, close it and exit 2."""
+    try:
+        print(line, file=report, flush=True)
+    except OSError as exc:
+        with suppress(OSError):  # closing flushes the line that failed, and fails again
+            report.close()
+        _cannot_write(path, exc)
+
+
 def _checking(
     reports: Callable[[argparse.Namespace], Iterable[LawReport]],
     expected: Callable[[argparse.Namespace], list[str]],
@@ -137,20 +156,20 @@ def _checking(
     """The handler of a check command. It opens the `--report` file before any check runs, so a
     bad path fails before any work, then prints each line of `reports(args)`, flushed, as soon as
     it is produced and copies it there, so a crashing run still shows every finished check.
+    A report file that cannot be opened or written ends the run with exit status 2.
     Returns 0 exactly when the failing lines are `expected(args)`, else 1."""
     def handler(args) -> int:
         try:
             copy = open(args.report, "w", encoding="utf-8") if args.report else nullcontext()
         except OSError as exc:
-            print(f"finmonad: error: cannot write report {args.report}: {exc.strerror}", file=sys.stderr)
-            raise SystemExit(2)
+            _cannot_write(args.report, exc)
         failing = []
         with copy as report:
             for r in reports(args):
                 line = r.to_line()
                 print(line, flush=True)
                 if report:
-                    print(line, file=report, flush=True)
+                    _save(line, report, args.report)
                 if not r.passed:
                     failing.append(line)
         return 0 if failing == expected(args) else 1
@@ -228,7 +247,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head -1`: stop without a traceback, and point
+        # stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -122,18 +122,18 @@ def _images(bits) -> list[int]:
 
 
 class _Indexed(FiniteFunction):
-    """The arrow that sends the subset of the domain with bitmask m to the subset
-    of the codomain with bitmask index[m]. Its `pairs` are built on first read and
-    kept; its `table` is built from them on its own first read. `apply` maps one
+    """The arrow that sends the atom of the domain with code c (see `_coding`) to the
+    subset of the codomain with bitmask index[c]. Its `pairs` are built on first read
+    and kept; its `table` is built from them on its own first read. `apply` maps one
     atom without either."""
 
     __slots__ = ("index",)
 
-    def __init__(self, domain: _PowerSet, codomain: _PowerSet, index: list[int]):
+    def __init__(self, domain: FiniteSet, codomain: _PowerSet, index: list[int]):
         self.domain, self.codomain, self.index = domain, codomain, index
 
     def _image(self, x):
-        return self.codomain.atom(self.index[self.domain.mask_of(x)])
+        return self.codomain.atom(self.index[_coding(self.domain)[2](x)])
 
     def __getattr__(self, name: str):
         # reached only while `pairs` or `_table` is unset
@@ -142,7 +142,7 @@ class _Indexed(FiniteFunction):
         index, domain, codomain = self.index, self.domain, self.codomain  # read once, not per atom
         with _collector_paused():
             atoms = {c: codomain.atom(c) for c in set(index)}
-            self.pairs = tuple(zip(domain.elements, [atoms[index[m]] for m in domain.mask]))
+            self.pairs = tuple(zip(domain.elements, [atoms[index[c]] for c in _coding(domain)[0]]))
         return self.pairs
 
 
@@ -165,18 +165,14 @@ def _powerset_per_spelling(space: FiniteSet, spelling: str) -> _PowerSet:
 
 
 def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
-    """P(f): sends each subset of f's domain to its image under f."""
-    dom, cod = powerset_object(f.domain), powerset_object(f.codomain)
-    try:
-        bits = [1 << cod.position[apply(f, x)] for x in f.domain]
-    except KeyError as missing:
-        raise CodomainViolationError(f"{f!r} maps to {missing.args[0]!r}, outside its codomain") from None
-    return _Indexed(dom, cod, _images(bits))
+    """P(f): sends each subset of f's domain to its image under f, read through `_codes`."""
+    return _Indexed(powerset_object(f.domain), powerset_object(f.codomain),
+                    _lift(_codes(f, f.domain, f.codomain)[1], f.domain, f.codomain))
 
 
 def eta_component(space: FiniteSet) -> FiniteFunction:
-    """The unit at `space`: x maps to the singleton subset {x}."""
-    return FiniteFunction(space, powerset_object(space), ((x, FiniteSet((x,))) for x in space))
+    """The unit at `space`: x maps to {x}, the bit at x's position, indexed by x's code."""
+    return _Indexed(space, powerset_object(space), [1 << i for i in map(_coding(space)[3], range(len(space)))])
 
 
 def mu_component(space: FiniteSet) -> FiniteFunction:
@@ -238,22 +234,28 @@ MU = NatTransform("mu", POWERSET_SQUARED, POWERSET, mu_component)
 # ---------------------------------------------------------------------------
 
 def _coding(space: FiniteSet):
-    """The codes of `space` in canonical order, the atom with a given code, and the
-    code of an atom: in a powerset a subset's bitmask, elsewhere a position."""
+    """The codes of `space` in canonical order, a code's atom, an atom's code (else NotInDomainError)
+    and a code's position: in a powerset a subset's bitmask and its rank, elsewhere a position twice."""
     if isinstance(space, _PowerSet):
-        return space.mask, space.atom, space.mask_of
-    return range(len(space)), space.elements.__getitem__, space.elements.index
+        return space.mask, space.atom, space.mask_of, space.rank
+
+    def code(x) -> int:
+        try:
+            return space.elements.index(x)
+        except ValueError:
+            raise NotInDomainError(f"{x!r} is not an element of {space!r}") from None
+
+    return range(len(space)), space.elements.__getitem__, code, int
 
 
 def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> tuple:
     """f as a step from `dom` to `cod`, the checker's own objects: its map on atoms and
-    its map on codes, read from an `_Indexed` arrow's index, else one code at a time on
-    first use, so a hand-built table is what gets checked: from pairs[i] when its key
-    is the atom at position i of `dom`, else through `apply`."""
+    its map on codes, the one reader of a handed arrow's entries: an `_Indexed` arrow's
+    index, else one code at a time on first use, so a hand-built table is what gets
+    checked: pairs[i] when its key is the atom at position i of `dom`, else `apply`."""
     if isinstance(f, _Indexed):
         return partial(apply, f), f.index.__getitem__
-    atom, code = _coding(dom)[1], _coding(cod)[2]
-    rank, pairs = dom.rank if isinstance(dom, _PowerSet) else int, f.pairs
+    (_, atom, _, rank), code, pairs = _coding(dom), _coding(cod)[2], f.pairs
 
     def read(c: int) -> int:
         i = rank(c)
@@ -263,10 +265,16 @@ def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> tuple:
             image = apply(f, atom(c))
         try:  # only the image's lookup: an atom missing from f's table stays NotInDomainError
             return code(image)
-        except (ValueError, NotInDomainError):
+        except NotInDomainError:
             raise CodomainViolationError(f"{f!r} maps to {image!r}, outside its codomain") from None
 
     return partial(apply, f), cache(read)
+
+
+def _lift(read, dom: FiniteSet, cod: FiniteSet) -> list[int]:
+    """P on codes: P(f)'s index, for f from `dom` to `cod` with map on codes `read`."""
+    position = _coding(cod)[3]
+    return _images([1 << position(read(c)) for c in _coding(dom)[0]])
 
 
 def _replay(sides, value) -> tuple:
@@ -386,12 +394,10 @@ def check_associativity(
     apply_mu, codes_mu = step_mu
     lift_mu = lambda family: make_finite_set(map(apply_mu, family))  # P(mu_x) by its definition
 
-    # on codes, P(mu_x) sends a family to the OR of its members' lifts, 1 << the position of mu_x(member)
     if mode == "exhaustive":
         mu_p, triples = mu.component(power), powerset_object(families)
-        lifted = _images([1 << power.mask.index(codes_mu(m)) for m in families.mask])  # reads every entry
-        lhs, rhs = (_codes(mu_p, triples, families), step_mu), ((lift_mu, lifted.__getitem__), step_mu)
-        witness = _compare(triples, power, lhs, rhs, labels)
+        p_mu = (lift_mu, _lift(codes_mu, families, power).__getitem__)  # reads every entry of mu_x
+        witness = _compare(triples, power, (_codes(mu_p, triples, families), step_mu), (p_mu, step_mu), labels)
         return LawReport("monad-associativity[exhaustive]", show(space), len(triples.mask), witness)
 
     flatten = lambda family: make_finite_set(s for member in family for s in member)  # mu_P, taken to be union
@@ -406,7 +412,7 @@ def check_associativity(
                 j = draw(k)
             drawn.append(j)
             if lift[j] is None:
-                lift[j] = 1 << power.mask.index(codes_mu(masks[j]))
+                lift[j] = 1 << power.rank(codes_mu(masks[j]))
             union, image = union | masks[j], image | lift[j]
         lhs, rhs = codes_mu(union), codes_mu(image)
         if lhs != rhs:

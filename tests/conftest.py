@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from finmonad.cli import main as cli_main
+from finmonad.finset import FiniteSet
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -40,6 +42,27 @@ def assert_transcript(actual: str, expected: str, tol: float = 1e-5) -> None:
             assert abs(float(a) - float(b)) <= tol, (
                 f"line {i}: float {a} differs from {b} by more than {tol}"
             )
+
+
+@pytest.fixture
+def sets_built(monkeypatch):
+    """`with sets_built() as built:` records in `built` the `elements` of every
+    FiniteSet constructed inside the block, in order."""
+
+    @contextmanager
+    def recording():
+        built = []
+        construct = FiniteSet.__init__
+
+        def counting(self, elements=()):
+            built.append(elements)
+            construct(self, elements)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FiniteSet, "__init__", counting)
+            yield built
+
+    return recording
 
 
 @pytest.fixture

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import errno
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import assert_transcript, load_golden
 from finmonad import cli, powerset
 from finmonad.cli import main as cli_main
 from finmonad.containers import F1, F4
-from finmonad.finset import FiniteSet
 from finmonad.reports import Counterexample, LawReport
 
 
@@ -132,20 +138,13 @@ def test_powerset_check_max_size_four_at_default_samples(run_cli):
     assert "PASS monad-associativity[sampled,seed=42,n=10000] @ {1,2,3,4} checked=10000" in lines
 
 
-def test_powerset_check_max_size_four_builds_no_atom_table(run_cli, monkeypatch):
+def test_powerset_check_max_size_four_builds_no_atom_table(run_cli, sets_built):
     # the README's claim, as a count on cold caches: no 65,536-atom fill, so no
-    # pause of the collector either, is on the CLI path (about 200 sets are built)
-    built = []
-    construct = FiniteSet.__init__
-
-    def counting(self, elements=()):
-        built.append(elements)
-        construct(self, elements)
-
+    # pause of the collector either, is on the CLI path (65 sets are built)
     powerset._powerset_per_spelling.cache_clear()
-    monkeypatch.setattr(FiniteSet, "__init__", counting)
-    code, _ = run_cli("powerset-check", "--max-size", "4")
-    assert code == 0 and len(built) <= 1_000
+    with sets_built() as built:
+        code, _ = run_cli("powerset-check", "--max-size", "4")
+    assert code == 0 and len(built) <= 100
 
 
 def test_laws_report_transcript_is_pinned(run_cli):
@@ -241,3 +240,52 @@ def test_unwritable_report_path_is_usage_error(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and str(path) in err
+
+
+class FullDisk(io.StringIO):
+    """A report file on a full disk: each write fails, and so does the close
+    that flushes it, which still closes the file, as a real one's does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        if not self.closed:
+            super().close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_report_write_that_fails_mid_run_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["powerset-check", "--max-size", "0", "--report", "full.txt"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "PASS monad-unit[exhaustive] @ {} checked=2\n"  # printed before its copy failed
+    assert err == f"finmonad: error: cannot write report full.txt: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_closed_stdout_is_not_a_report_failure(monkeypatch, tmp_path):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        cli_main(["powerset-check", "--max-size", "0", "--report", str(tmp_path / "report.txt")])
+
+
+@pytest.mark.parametrize("argv", [["laws"], ["powerset-check", "--max-size", "1"], ["list-demo"]])
+def test_a_closed_stdout_ends_the_run_without_a_traceback(argv):
+    # stdout is a pipe whose read end is closed before the command starts, so
+    # its first write fails, as under `| head -1` once head has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    try:
+        run = subprocess.run([sys.executable, "-m", "finmonad.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (1, b"")

@@ -281,7 +281,7 @@ def test_constructor_trusts_its_input_and_make_finite_set_canonicalizes():
     assert make_finite_set(atoms).elements == (1, 2)
 
 
-def test_sort_key_and_member_set_are_built_on_first_read():
+def test_member_set_is_built_on_first_read():
     inner = make_finite_set([2, "a"])
     s = FiniteSet((1, inner))
     with pytest.raises(AttributeError):

@@ -269,7 +269,7 @@ def test_index_backed_arrows_keep_one_pairs_tuple():
     for n in range(4):
         space = make_finite_set(range(1, n + 1))
         powerset._powerset_per_spelling.cache_clear()
-        arrows = [mu_component(space)]
+        arrows = [mu_component(space), eta_component(space)]
         arrows += map(powerset_arrow, enumerate_functions(space, space))
         for arrow in arrows:
             assert arrow.pairs is arrow.pairs
@@ -675,22 +675,13 @@ def test_exhaustive_associativity_composes_no_tables(monkeypatch):
             assert report.passed, report.to_line()
 
 
-def test_exhaustive_associativity_builds_only_its_witness_atom(monkeypatch):
+def test_exhaustive_associativity_builds_only_its_witness_atom(sets_built):
     # Every FiniteSet constructed while the check and its recheck run, on cold
     # caches; the lazy powerset objects themselves are not among them.
     space = make_finite_set([1, 2])
-    built = []
-    construct = FiniteSet.__init__
-
-    def recording(self, elements=()):
-        built.append(elements)
-        construct(self, elements)
-
     for mu, passes in ((MU, True), (corrupt_mu_at(space), False)):
         powerset._powerset_per_spelling.cache_clear()
-        built.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(FiniteSet, "__init__", recording)
+        with sets_built() as built:
             report = check_associativity(space, mode="exhaustive", mu=mu)
             assert report.passed == passes and (passes or report.counterexample.recheck())
         # the atoms of P(P(P(space))) that are not also atoms of P(P(space))
@@ -699,25 +690,37 @@ def test_exhaustive_associativity_builds_only_its_witness_atom(monkeypatch):
         assert triples == (set() if passes else {report.counterexample.value.elements}), report.to_line()
 
 
-def test_mu_pairs_build_their_atoms_once(monkeypatch):
+def test_mu_pairs_build_their_atoms_once(sets_built):
     # a count of FiniteSets built, on cold caches, so the guard needs no timing
     space = make_finite_set([1, 2, 3, 4])
-    built = []
-    construct = FiniteSet.__init__
-
-    def recording(self, elements=()):
-        built.append(elements)
-        construct(self, elements)
-
     powerset._powerset_per_spelling.cache_clear()
-    monkeypatch.setattr(FiniteSet, "__init__", recording)
-    first = mu_component(space).pairs
+    with sets_built() as built:
+        first = mu_component(space).pairs
     # the atoms of P²(X), and P(X)'s twice: rendered as a cache key and as images
     assert len(built) <= 65_536 + 2 * 16 + 1
     # an equal space built elsewhere shares the cached P(X), and so its mu
     equal = make_finite_set(range(1, 5))
-    built.clear()
-    assert equal is not space and mu_component(equal).pairs is first and built == []
+    with sets_built() as built:
+        assert equal is not space and mu_component(equal).pairs is first and built == []
+
+
+def test_structure_maps_build_no_atoms(sets_built):
+    # with warm caches, η, P(P(f)) and both unit triangles are indexes on codes:
+    # building them, and checking the triangles, constructs no FiniteSet
+    spaces = [make_finite_set(range(1, n + 1)) for n in range(4)]
+    arrows = [f for dom in spaces[:3] for cod in spaces[:3] for f in enumerate_functions(dom, cod)]
+    assert len(arrows) == 11
+    build = {
+        "eta": lambda: [eta_component(space) for space in spaces],
+        "P(P(f))": lambda: [powerset_arrow(powerset_arrow(f)) for f in arrows],
+        "unit laws": lambda: [check_unit_laws(space) for space in spaces],
+    }
+    for name, step in build.items():
+        step()  # warms the caches
+        with sets_built() as built:
+            results = step()
+        assert built == [], f"{name}: {len(built)} sets built"
+    assert all(report.passed for report in results)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
