@@ -8,10 +8,15 @@ counterexample. Panels are ordered smallest-first and include the degenerate
 cases (empty list, NOTHING, zero). For larger sweeps, `random_generators`
 builds seeded random panels with the same determinism guarantee.
 
-Each law is one `sides` function handed to `reports.sweep` with its values
-and its panel of `(labels, *args)` entries. A sweep stops at the first
-failing case and evaluates a repeated value once, but its `checked` still
-counts every value times every panel entry.
+Each law is one generator, `cases(value)`, handed to `reports.sweep` with its
+values and its number of cases per value. It yields the value's
+`(labels, lhs, rhs)` cases in panel order, so the two sides of a law are
+written once, and a subterm that several of one value's cases share is
+evaluated once, at its first use: composition maps `map(g, m)` once per g and
+associativity binds `bind(m, k)` once per k. The composites `f∘g` and `k>=>h`
+are built once per sweep. A sweep stops at the first failing case and
+evaluates a repeated value once, but its `checked` still counts every value
+times every case.
 """
 
 from __future__ import annotations
@@ -188,39 +193,71 @@ def random_generators(instance: ContainerInstance, *, seed: int = 0, size: int =
 
 def check_functor_laws(instance: ContainerInstance, gen: Generators) -> list[LawReport]:
     """The two functor axioms: map(id) is the identity, and mapping a
-    composite equals mapping in stages."""
-    identity = lambda m: (instance.map(_identity, m), m)
-    composition = lambda m, f, g: (instance.map(lambda x: f(g(x)), m), instance.map(f, instance.map(g, m)))
-    composites = [((f_label, g_label), f, g) for f_label, f in gen.functions for g_label, g in gen.functions]
+    composite equals mapping in stages. Per value, map(g, m) is evaluated
+    once per g, at its first use, and shared by every f."""
+    functions = gen.functions
+    composites = [
+        ((f_label, g_label), f, j, g, lambda x, f=f, g=g: f(g(x)))
+        for f_label, f in functions
+        for j, (g_label, g) in enumerate(functions)
+    ]
+
+    def identity(m):
+        yield (), instance.map(_identity, m), m
+
+    def composition(m):
+        staged = {}
+        for labels, f, j, g, fg in composites:
+            lhs = instance.map(fg, m)
+            if j not in staged:
+                staged[j] = instance.map(g, m)
+            yield labels, lhs, instance.map(f, staged[j])
+
     return [
-        sweep("functor-identity", instance.name, identity, gen.values, [((),)]),
-        sweep("functor-composition", instance.name, composition, gen.values, composites),
+        sweep("functor-identity", instance.name, identity, gen.values, 1),
+        sweep("functor-composition", instance.name, composition, gen.values, len(composites)),
     ]
 
 
 def check_monad_laws(instance: ContainerInstance, gen: Generators) -> list[LawReport]:
     """The three monad laws: unit is a left and right identity for bind, and
-    bind associates."""
-    left = lambda x, k: (instance.bind(instance.unit(x), k), k(x))
-    right = lambda m: (instance.bind(m, instance.unit), m)
-    assoc = lambda m, k, h: (
-        instance.bind(instance.bind(m, k), h),
-        instance.bind(m, lambda x: instance.bind(k(x), h)),
-    )
-    kleisli = [((label,), k) for label, k in gen.kleisli]
-    pairs = [((k_label, h_label), k, h) for k_label, k in gen.kleisli for h_label, h in gen.kleisli]
+    bind associates. Per value, bind(m, k) is evaluated once per k and shared
+    by every h."""
+    kleisli = gen.kleisli
+    rows = [
+        (k_label, k, [(h_label, h, lambda x, k=k, h=h: instance.bind(k(x), h)) for h_label, h in kleisli])
+        for k_label, k in kleisli
+    ]
+
+    def left(x):
+        unit_x = instance.unit(x)
+        for label, k in kleisli:
+            yield (label,), instance.bind(unit_x, k), k(x)
+
+    def right(m):
+        yield ("unit",), instance.bind(m, instance.unit), m
+
+    def assoc(m):
+        for k_label, k, row in rows:
+            mk = instance.bind(m, k)
+            for h_label, h, kh in row:
+                yield (k_label, h_label), instance.bind(mk, h), instance.bind(m, kh)
+
     return [
-        sweep("monad-left-identity", instance.name, left, gen.elements, kleisli),
-        sweep("monad-right-identity", instance.name, right, gen.values, [(("unit",),)]),
-        sweep("monad-associativity", instance.name, assoc, gen.values, pairs),
+        sweep("monad-left-identity", instance.name, left, gen.elements, len(kleisli)),
+        sweep("monad-right-identity", instance.name, right, gen.values, 1),
+        sweep("monad-associativity", instance.name, assoc, gen.values, len(kleisli) ** 2),
     ]
 
 
 def check_bind_join_coherence(instance: ContainerInstance, gen: Generators) -> LawReport:
     """bind must agree with join-after-map, even when it is overridden."""
-    coherence = lambda m, k: (instance.bind(m, k), instance.join(instance.map(k, m)))
-    kleisli = [((label,), k) for label, k in gen.kleisli]
-    return sweep("bind-join-coherence", instance.name, coherence, gen.values, kleisli)
+
+    def coherence(m):
+        for label, k in gen.kleisli:
+            yield (label,), instance.bind(m, k), instance.join(instance.map(k, m))
+
+    return sweep("bind-join-coherence", instance.name, coherence, gen.values, len(gen.kleisli))
 
 
 def run_suite(instance: ContainerInstance, gen: Generators | None = None) -> list[LawReport]:

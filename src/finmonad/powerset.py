@@ -80,10 +80,18 @@ class _PowerSet(FiniteSet):
         return FiniteSet(tuple(x for i, x in enumerate(self.position) if m >> i & 1))
 
     def mask_of(self, subset) -> int:
-        """The bitmask of one of these subsets; NotInDomainError for anything else."""
-        if not isinstance(subset, FiniteSet) or not all(x in self.position for x in subset):
-            raise NotInDomainError(f"{subset!r} is not an element of {self!r}")
-        return sum(1 << self.position[x] for x in subset)
+        """The bitmask of one of these subsets, one lookup per member; NotInDomainError
+        for anything else."""
+        if isinstance(subset, FiniteSet):
+            position, mask = self.position, 0
+            try:
+                for x in subset:
+                    mask |= 1 << position[x]
+            except KeyError:
+                pass
+            else:
+                return mask
+        raise NotInDomainError(f"{subset!r} is not an element of {self!r}")
 
     def rank(self, m: int) -> int:
         """The position of bitmask m in canonical order. Each set bit s after the one before, p

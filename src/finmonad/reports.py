@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import partial
-from itertools import product
+from itertools import islice
 
 from .containers import Record
 from .render import show
@@ -59,21 +59,28 @@ class LawReport(Record):
         )
 
 
-def sweep(law: str, subject: str, sides: Callable, values: Sequence, panel: Sequence[tuple]) -> LawReport:
-    """Check `sides(value, *args)`, the law's two sides, over every value and
-    every `(labels, *args)` panel entry, values outermost. `checked` counts
-    all len(values) * len(panel) cases, but a repeated value is evaluated only
-    at its first occurrence, keyed on `repr`, since `==` merges 1, 1.0 and
-    True, and lists are unhashable. The first failing case becomes the
-    counterexample, replayed by `partial(sides, value, *args)`, and nothing
-    after it runs."""
-    checked = len(values) * len(panel)
+def sweep(law: str, subject: str, cases: Callable, values: Sequence, per_value: int) -> LawReport:
+    """Check a law over every value, values outermost. `cases(value)` yields the
+    value's `(labels, lhs, rhs)` cases in order, and may evaluate a subterm its
+    cases share only once. `checked` counts len(values) * per_value cases, but a
+    repeated value is evaluated only at its first occurrence, keyed on `repr`,
+    since `==` merges 1, 1.0 and True, and lists are unhashable. The first
+    failing case becomes the counterexample, and nothing after it runs. Its
+    replay runs `cases(value)` anew up to that case's position, so it evaluates
+    the expression the check evaluated and reuses nothing the sweep computed."""
+    checked = len(values) * per_value
     distinct = {}
     for value in values:
         distinct.setdefault(repr(value), value)
-    for value, (labels, *args) in product(distinct.values(), panel):
-        lhs, rhs = sides(value, *args)
-        if lhs != rhs:
-            witness = Counterexample(value, lhs, rhs, labels, partial(sides, value, *args))
-            return LawReport(law, subject, checked, witness)
+    for value in distinct.values():
+        for index, (labels, lhs, rhs) in enumerate(cases(value)):
+            if lhs != rhs:
+                witness = Counterexample(value, lhs, rhs, labels, partial(_replay, cases, value, index))
+                return LawReport(law, subject, checked, witness)
     return LawReport(law, subject, checked)
+
+
+def _replay(cases: Callable, value, index: int) -> tuple:
+    """Both sides of the `index`-th case of `cases(value)`, evaluated anew."""
+    _, lhs, rhs = next(islice(cases(value), index, None))
+    return lhs, rhs

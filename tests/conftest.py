@@ -1,15 +1,31 @@
 from __future__ import annotations
 
 import re
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from finmonad.cli import main as cli_main
 from finmonad.finset import FiniteSet
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# the same examples on every run, and no example database written into the checkout
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    """Hypothesis also caches the constants it reads from local sources in its
+    home directory, `.hypothesis/` under the working directory, whatever the
+    database; point it at a temporary directory that lives as long as the run."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+    config.add_cleanup(home.cleanup)
 
 _FLOAT = re.compile(r"-?\d+\.\d+(?:[eE][+-]?\d+)?")
 

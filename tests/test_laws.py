@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from functools import partial
+from itertools import product
+
 import pytest
 from conftest import load_golden
 
@@ -24,7 +27,8 @@ from finmonad.laws import (
     random_generators,
     run_suite,
 )
-from finmonad.reports import sweep
+from finmonad.render import show
+from finmonad.reports import Counterexample, LawReport, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +299,25 @@ def test_random_panel_reports_match_the_golden():
 
 def test_associativity_evaluates_each_distinct_value_once(monkeypatch):
     gen = random_generators(OPTION, seed=1, size=1000)
-    calls = []
+    streams, calls = [], []
 
-    def counted(law, subject, sides, values, panel):
-        if law == "monad-associativity":
-            return sweep(law, subject, lambda *case: calls.append(case) or sides(*case), values, panel)
-        return sweep(law, subject, sides, values, panel)
+    def counted(law, subject, cases, values, per_value):
+        if law != "monad-associativity":
+            return sweep(law, subject, cases, values, per_value)
+
+        def counting(value):
+            streams.append(value)
+            for case in cases(value):
+                calls.append(case)
+                yield case
+
+        return sweep(law, subject, counting, values, per_value)
 
     monkeypatch.setattr(laws, "sweep", counted)
     assoc = check_monad_laws(OPTION, gen)[2]
     distinct = len({repr(value) for value in gen.values})
     assert distinct == 199
+    assert len({repr(value) for value in streams}) == len(streams) == distinct
     assert len(calls) == distinct * 36 == 7164
     assert assoc.to_line() == "PASS monad-associativity @ option checked=36000"
 
@@ -321,3 +333,202 @@ def test_random_sweeps_agree_with_curated_verdicts():
     assert not identity_report.passed
     assert isinstance(identity_report.counterexample.value, F4)
     assert identity_report.counterexample.recheck()
+
+
+# ---------------------------------------------------------------------------
+# the per-value case streams against the flat sweep they replaced
+# ---------------------------------------------------------------------------
+
+def flat_sweep(law, subject, sides, values, panel):
+    """The sweep as it was before case streams: `sides(value, *args)` over every
+    distinct value and every `(labels, *args)` panel entry, values outermost,
+    each case evaluated from scratch."""
+    checked = len(values) * len(panel)
+    distinct = {}
+    for value in values:
+        distinct.setdefault(repr(value), value)
+    for value, (labels, *args) in product(distinct.values(), panel):
+        lhs, rhs = sides(value, *args)
+        if lhs != rhs:
+            witness = Counterexample(value, lhs, rhs, labels, partial(sides, value, *args))
+            return LawReport(law, subject, checked, witness)
+    return LawReport(law, subject, checked)
+
+
+def flat_suite(instance, gen):
+    """`run_suite` through `flat_sweep`, each law's two sides written as one lambda."""
+    identity = lambda m: (instance.map(lambda x: x, m), m)
+    composition = lambda m, f, g: (instance.map(lambda x: f(g(x)), m), instance.map(f, instance.map(g, m)))
+    left = lambda x, k: (instance.bind(instance.unit(x), k), k(x))
+    right = lambda m: (instance.bind(m, instance.unit), m)
+    assoc = lambda m, k, h: (
+        instance.bind(instance.bind(m, k), h),
+        instance.bind(m, lambda x: instance.bind(k(x), h)),
+    )
+    coherence = lambda m, k: (instance.bind(m, k), instance.join(instance.map(k, m)))
+    composites = [((f_label, g_label), f, g) for f_label, f in gen.functions for g_label, g in gen.functions]
+    kleisli = [((label,), k) for label, k in gen.kleisli]
+    pairs = [((k_label, h_label), k, h) for k_label, k in gen.kleisli for h_label, h in gen.kleisli]
+    law = lambda name, sides, values, panel: flat_sweep(name, instance.name, sides, values, panel)
+    defines = lambda op: getattr(type(instance), op) is not getattr(ContainerInstance, op)
+    reports = [
+        law("functor-identity", identity, gen.values, [((),)]),
+        law("functor-composition", composition, gen.values, composites),
+    ]
+    if defines("unit") and defines("join"):
+        reports += [
+            law("monad-left-identity", left, gen.elements, kleisli),
+            law("monad-right-identity", right, gen.values, [(("unit",),)]),
+            law("monad-associativity", assoc, gen.values, pairs),
+        ]
+    if defines("join"):
+        reports.append(law("bind-join-coherence", coherence, gen.values, kleisli))
+    return reports
+
+
+_FUNCTION = dict(default_generators(LIST).functions)
+_KLEISLI = dict(default_generators(LIST).kleisli)
+
+
+class _Marked(list):
+    """A list that remembers it came out of one particular panel function."""
+
+
+class LateCompositionList(ListInstance):
+    """map(square) appends a 0 to a nonempty list that map(negate) returned, so
+    functor composition fails only at the late pair (square, negate)."""
+
+    name = "late-composition"
+
+    def map(self, f, m):
+        out = super().map(f, m)
+        if f is _FUNCTION["negate"]:
+            return _Marked(out)
+        if f is _FUNCTION["square"] and isinstance(m, _Marked) and m:
+            out.append(0)
+        return out
+
+
+class LateAssociativityList(ListInstance):
+    """bind(·, mirror) appends a 0 to a nonempty list that bind(·, const-7)
+    returned, so associativity fails only at the late pair (const-7, mirror)."""
+
+    name = "late-associativity"
+
+    def bind(self, m, k):
+        out = super().bind(m, k)
+        if k is _KLEISLI["const-7"]:
+            return _Marked(out)
+        if k is _KLEISLI["mirror"] and isinstance(m, _Marked) and m:
+            out.append(0)
+        return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("instance,panels", [
+    (LIST, LIST), (OPTION, OPTION), (WRAP, WRAP), (MULTI_SHAPE, MULTI_SHAPE), (DroppyListInstance(), LIST),
+    (LateCompositionList(), LIST), (LateAssociativityList(), LIST),
+], ids=lambda x: x.name)
+def test_case_streams_agree_with_the_flat_sweep(instance, panels, seed):
+    gen = random_generators(panels, seed=seed, size=300)
+    streamed, flat = run_suite(instance, gen), flat_suite(instance, gen)
+    assert [r.to_line() for r in streamed] == [r.to_line() for r in flat]
+    for got, want in zip(streamed, flat):
+        assert (got.law, got.checked, got.passed) == (want.law, want.checked, want.passed)
+        if not got.passed:
+            cx, oracle = got.counterexample, want.counterexample
+            assert cx.value is oracle.value and cx.labels == oracle.labels
+            assert (cx.lhs, cx.rhs) == (oracle.lhs, oracle.rhs)
+            assert (repr(cx.lhs), repr(cx.rhs)) == (repr(oracle.lhs), repr(oracle.rhs))
+            assert cx.recheck() and oracle.recheck()
+
+
+def test_late_planted_defects_fail_only_their_law_at_their_pair():
+    gen = random_generators(LIST, seed=0, size=300)
+    failures = lambda instance: [r.to_line() for r in run_suite(instance, gen) if not r.passed]
+    assert failures(LateCompositionList()) == [
+        "FAIL functor-composition @ late-composition witness=[0] [square,negate] lhs=[0] rhs=[0,0]"
+    ]
+    assert failures(LateAssociativityList()) == [
+        "FAIL monad-associativity @ late-associativity witness=[0] [const-7,mirror] lhs=[7,-7,0] rhs=[7,-7]"
+    ]
+
+
+# ---------------------------------------------------------------------------
+# what one value's cases share is evaluated once
+# ---------------------------------------------------------------------------
+
+class CountingList(ListInstance):
+    """The list monad, logging each map and bind call as (op, function, container)."""
+
+    name = "counting-list"
+
+    def __init__(self):
+        self.log = []
+
+    def map(self, f, m):
+        self.log.append(("map", f, m))
+        return super().map(f, m)
+
+    def bind(self, m, k):
+        self.log.append(("bind", k, m))
+        return super().bind(m, k)
+
+
+def logged_suite(monkeypatch, instance, gen, check=run_suite):
+    """`check(instance, gen)` and, per law, the calls its sweep logged."""
+    per_law = {}
+
+    def logged(law, subject, cases, values, per_value):
+        instance.log.clear()
+        report = sweep(law, subject, cases, values, per_value)
+        per_law[law] = list(instance.log)
+        return report
+
+    monkeypatch.setattr(laws, "sweep", logged)
+    return check(instance, gen), per_law
+
+
+def test_each_value_maps_each_g_once_and_binds_each_k_once(monkeypatch):
+    gen = random_generators(LIST, seed=0, size=300)
+    reports, per_law = logged_suite(monkeypatch, CountingList(), gen)
+    assert all(r.passed for r in reports)
+    distinct = len({repr(value) for value in gen.values})
+    swept = {id(value) for value in gen.values}
+    functions = {f for _, f in gen.functions}
+    kleisli = {k for _, k in gen.kleisli}
+    composition = per_law["functor-composition"]
+    # per value: 36 composites map(f∘g, m), 36 map(f, map(g, m)) and 6 map(g, m)
+    assert {op for op, _, _ in composition} == {"map"}
+    assert len(composition) == distinct * (36 + 36 + 6)
+    assert sum(f in functions and id(m) in swept for _, f, m in composition) == distinct * 6
+    # per value: the 6 bind(m, k), each shared by the 6 h that follow it
+    outer = [k for op, k, m in per_law["monad-associativity"] if op == "bind" and k in kleisli and id(m) in swept]
+    assert len(outer) == distinct * 6
+
+
+def test_a_value_failing_its_first_case_maps_no_later_g(monkeypatch):
+    gen = random_generators(LIST, seed=0, size=300)
+    first = {}
+    for value in gen.values:
+        first.setdefault(repr(value), value)
+    witness = list(first.values())[5]
+    functions = {f for _, f in gen.functions}
+
+    class BreaksAtWitness(CountingList):
+        def map(self, f, m):
+            out = super().map(f, m)
+            return out + [0] if m is witness and f not in functions else out
+
+    reports, per_law = logged_suite(monkeypatch, BreaksAtWitness(), gen, check_functor_laws)
+    composition = reports[1]
+    assert composition.to_line() == (
+        f"FAIL functor-composition @ counting-list witness={show(witness)} [id,id] "
+        f"lhs={show(witness + [0])} rhs={show(witness)}"
+    )
+    assert composition.counterexample.recheck()
+    log = per_law["functor-composition"]
+    # five whole values, then the witness's first case alone: map(id∘id, m),
+    # map(id, m) and map(id, map(id, m)), and no map(g, m) for any later g
+    assert len(log) == 5 * 78 + 3
+    assert [f for _, f, m in log if m is witness][1:] == [gen.functions[0][1]]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -115,6 +116,19 @@ def test_rank_is_the_position_of_a_bitmask():
     for space in spaces:
         power = powerset_object(space)
         assert [power.rank(m) for m in power.mask] == list(range(len(power)))
+
+
+def test_mask_of_gives_a_subsets_bitmask_and_refuses_anything_else():
+    space = make_finite_set([1, 2, 3])
+    power = powerset_object(space)
+    # each subset, built anew rather than read from the powerset, maps to its bitmask
+    assert [power.mask_of(make_subset(space, subset)) for subset in power] == power.mask
+    # a non-set, and a set with a member outside the space (first, last or alone)
+    for outside in ((1, 2), [1], 1, frozenset({1}), make_finite_set([0, 1]), make_finite_set([1, 2, 4]),
+                    make_finite_set([make_finite_set([1])])):
+        message = f"^{re.escape(repr(outside))} is not an element of {re.escape(repr(power))}$"
+        with pytest.raises(NotInDomainError, match=message):
+            power.mask_of(outside)
 
 
 def test_rendering_does_not_depend_on_cache_history():

@@ -7,25 +7,28 @@ from finmonad.reports import sweep
 def test_sweep_evaluates_each_case_once_and_replays_the_first_failure():
     calls = []
 
-    def sides(value, n):
-        calls.append((value, n))
-        return value + n, value + n + ((value, n) == (1, 20))
+    def cases(value):
+        for label, n in (("a", 10), ("b", 20), ("c", 30)):
+            calls.append((value, n))
+            yield (label,), value + n, value + n + ((value, n) == (1, 20))
 
-    panel = [(("a",), 10), (("b",), 20)]
-    report = sweep("law", "subject", sides, [0, 0, 1, 2, 3], panel)
+    report = sweep("law", "subject", cases, [0, 0, 1, 2, 3], 3)
     # the repeated 0 runs once, and nothing after the witness (1, 20) runs
-    assert calls == [(0, 10), (0, 20), (1, 10), (1, 20)]
-    assert report.checked == 5 * 2
+    assert calls == [(0, 10), (0, 20), (0, 30), (1, 10), (1, 20)]
+    assert report.checked == 5 * 3
     cx = report.counterexample
     assert (cx.value, cx.lhs, cx.rhs, cx.labels) == (1, 21, 22, ("b",))
-    assert (cx.replay.func, cx.replay.args) == (sides, (1, 20))
     assert cx.recheck()
-    assert calls[4:] == [(1, 20)]
+    # the replay runs the witness's cases anew, up to the witness and no further
+    assert calls[5:] == [(1, 10), (1, 20)]
     assert report.to_line() == "FAIL law @ subject witness=1 [b] lhs=21 rhs=22"
 
 
 def test_sweep_passes_when_every_case_agrees():
-    report = sweep("law", "subject", lambda n: (n, n), range(3), [((),)])
+    def cases(n):
+        yield (), n, n
+
+    report = sweep("law", "subject", cases, range(3), 1)
     assert report.passed
     assert report.to_line() == "PASS law @ subject checked=3"
 
@@ -36,11 +39,12 @@ def test_sweep_evaluates_a_repeated_value_once_but_counts_it():
     values = [1, 1.0, True, 1, 0.0, -0.0, 0.0, [1], [True], [1], F2([1]), F2((1,)), F2([1]), True]
     calls = []
 
-    def sides(value, n):
-        calls.append((value, n))
-        return n, n
+    def cases(value):
+        for n in "ab":
+            calls.append((value, n))
+            yield (n,), n, n
 
-    report = sweep("law", "subject", sides, values, [(("a",), "a"), (("b",), "b")])
+    report = sweep("law", "subject", cases, values, 2)
     assert report.passed and report.checked == len(values) * 2 == 28
     expected = [(values[i], n) for i in (0, 1, 2, 4, 5, 7, 8, 10, 11) for n in "ab"]
     assert len(calls) == len(expected) == 18
