@@ -79,11 +79,13 @@ def atom_key(atom: Atom):
 class FiniteSet:
     """An immutable collection of distinct atoms in canonical sorted order.
 
-    A subset of X is the FiniteSet of its members, itself usable as an atom,
+    A subset of X is a FiniteSet with those members, itself usable as an atom,
     so P(X), P(P(X)) and P(P(P(X))) are FiniteSets whose elements are
-    FiniteSets over the next space down. Sets built from any permutations of
-    the same atoms compare equal and have identical element tuples, so
-    downstream diagram checks reduce to structural equality.
+    FiniteSets over the next space down; a powerset's own atoms are kept as
+    bitmasks and build their member tuples on first read. Sets built from any
+    permutations of the same atoms compare equal, hash alike and have
+    identical element tuples, so downstream diagram checks reduce to
+    structural equality.
 
     The constructor trusts its input: `elements` must be a tuple of distinct
     atoms in canonical order. Use `make_finite_set` or `make_subset` to

@@ -46,7 +46,8 @@ class PowersetTooLargeError(FinsetError):
 
 class _PowerSet(FiniteSet):
     """P(space), its atoms and its μ built on first read. Each subset is also a
-    bitmask over the positions of `space`, so images and unions are ORs of ints."""
+    bitmask over the positions of `space`, so images and unions are ORs of ints,
+    and each atom is a `_Subset`: its bitmask, its members built on first read."""
 
     __slots__ = ("mask", "position", "union")  # mask[i] is the bitmask of elements[i]
 
@@ -69,19 +70,22 @@ class _PowerSet(FiniteSet):
         if name != "elements":
             raise AttributeError(name)
         with _collector_paused():
-            members = [()]
-            for x in reversed(self.position):  # the doubling that orders `mask`
-                members[1:1] = [(x,) + t for t in members]
-            self.elements = tuple(map(FiniteSet, members))
+            self.elements = tuple(map(partial(_Subset, self), self.mask))
         return self.elements
 
+    def __reduce__(self):
+        # from the carrier, so no copy fills `elements` or `union`
+        return powerset_object, (FiniteSet(tuple(self.position)),)
+
     def atom(self, m: int) -> FiniteSet:
-        """The subset whose bitmask is m."""
-        return FiniteSet(tuple(x for i, x in enumerate(self.position) if m >> i & 1))
+        """The subset whose bitmask is m, its members not yet built."""
+        return _Subset(self, m)
 
     def mask_of(self, subset) -> int:
-        """The bitmask of one of these subsets, one lookup per member; NotInDomainError
-        for anything else."""
+        """The bitmask of one of these subsets: an atom of this powerset's own is read
+        off, any other set takes one lookup per member; NotInDomainError for anything else."""
+        if isinstance(subset, _Subset) and subset.power is self:
+            return subset.mask
         if isinstance(subset, FiniteSet):
             position, mask = self.position, 0
             try:
@@ -102,6 +106,29 @@ class _PowerSet(FiniteSet):
             step = top // (m & -m)  # 2^(n-s)
             rank, skip, m = rank + 1 + skip - step, step >> 1, m & (m - 1)
         return rank
+
+
+class _Subset(FiniteSet):
+    """The atom of `power` with bitmask `mask`. Its `elements` are built on first
+    read; equality, hashing and rendering are FiniteSet's, by members, so it is
+    one set with any FiniteSet of the same members."""
+
+    __slots__ = ("power", "mask")
+
+    def __init__(self, power: _PowerSet, mask: int):
+        self.power, self.mask = power, mask
+
+    def __getattr__(self, name: str):
+        # reached only while `elements`, `_hash` or `_member_set` is unset
+        if name != "elements":
+            raise AttributeError(name)
+        mask = self.mask
+        self.elements = tuple(x for i, x in enumerate(self.power.position) if mask >> i & 1)
+        return self.elements
+
+    def __reduce__(self):
+        # a copy is a plain set of the same members, so it holds no powerset
+        return FiniteSet, (self.elements,)
 
 
 class _collector_paused:
@@ -142,6 +169,10 @@ class _Indexed(FiniteFunction):
 
     def _image(self, x):
         return self.codomain.atom(self.index[_coding(self.domain)[2](x)])
+
+    def __reduce__(self):
+        # from the index, so no copy fills `pairs` or `table`
+        return _Indexed, (self.domain, self.codomain, self.index)
 
     def __getattr__(self, name: str):
         # reached only while `pairs` or `_table` is unset

@@ -4,6 +4,7 @@ import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -11,6 +12,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from finmonad.cli import main as cli_main
 from finmonad.finset import FiniteSet
+from finmonad.powerset import _Subset
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -62,20 +64,33 @@ def assert_transcript(actual: str, expected: str, tol: float = 1e-5) -> None:
 
 @pytest.fixture
 def sets_built(monkeypatch):
-    """`with sets_built() as built:` records in `built` the `elements` of every
-    FiniteSet constructed inside the block, in order."""
+    """`with sets_built() as built:` records what the block constructs, in order:
+    in `built.sets` the `elements` of every plain FiniteSet, in `built.atoms` every
+    powerset atom (whose members are built only on first read), and in
+    `built.members` every atom whose member tuple was built."""
 
     @contextmanager
     def recording():
-        built = []
-        construct = FiniteSet.__init__
+        built = SimpleNamespace(sets=[], atoms=[], members=[])
+        construct, make_atom, fill = FiniteSet.__init__, _Subset.__init__, _Subset.__getattr__
 
         def counting(self, elements=()):
-            built.append(elements)
+            built.sets.append(elements)
             construct(self, elements)
+
+        def counting_atoms(self, power, mask):
+            built.atoms.append(self)
+            make_atom(self, power, mask)
+
+        def filling(self, name):
+            value = fill(self, name)  # AttributeError for any slot but `elements`
+            built.members.append(self)
+            return value
 
         with monkeypatch.context() as patch:
             patch.setattr(FiniteSet, "__init__", counting)
+            patch.setattr(_Subset, "__init__", counting_atoms)
+            patch.setattr(_Subset, "__getattr__", filling)
             yield built
 
     return recording

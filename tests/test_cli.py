@@ -140,11 +140,13 @@ def test_powerset_check_max_size_four_at_default_samples(run_cli):
 
 def test_powerset_check_max_size_four_builds_no_atom_table(run_cli, sets_built):
     # the README's claim, as a count on cold caches: no 65,536-atom fill, so no
-    # pause of the collector either, is on the CLI path (65 sets are built)
+    # pause of the collector either, is on the CLI path (65 sets are built, 12
+    # plain and 53 atoms, and the members of those 53)
     powerset._powerset_per_spelling.cache_clear()
     with sets_built() as built:
         code, _ = run_cli("powerset-check", "--max-size", "4")
-    assert code == 0 and len(built) <= 100
+    assert code == 0 and built.atoms
+    assert len(built.sets) + len(built.atoms) <= 100 and len(built.members) <= 100
 
 
 def test_laws_report_transcript_is_pinned(run_cli):

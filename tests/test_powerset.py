@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
+import pickle
 import random
 import re
 import tracemalloc
@@ -64,6 +66,18 @@ def bitmask_oracle(atoms):
         frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
         for mask in range(1 << len(atoms))
     }
+
+
+def built_members(pairs):
+    """The atoms among `pairs`' keys and images whose member tuples are built."""
+    def built(atom):
+        try:
+            FiniteSet.elements.__get__(atom)
+        except AttributeError:  # the slot stays unset until the first read
+            return False
+        return True
+
+    return [atom for pair in pairs for atom in pair if built(atom)]
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +143,30 @@ def test_mask_of_gives_a_subsets_bitmask_and_refuses_anything_else():
         message = f"^{re.escape(repr(outside))} is not an element of {re.escape(repr(power))}$"
         with pytest.raises(NotInDomainError, match=message):
             power.mask_of(outside)
+    # an atom of another powerset takes the same walk: by its members, found or refused
+    apart = powerset._PowerSet(space)
+    assert [power.mask_of(apart.atom(m)) for m in apart.mask] == power.mask
+    outside = powerset_object(make_finite_set(range(1, 5))).atom(0b1001)
+    with pytest.raises(NotInDomainError, match=f"^{re.escape(repr(outside))} is not an element of "):
+        power.mask_of(outside)
+
+
+def test_mask_of_reads_its_own_atoms_without_their_members(sets_built):
+    # mu at {1,2,3,4} copied from its own pairs with one image swapped for another
+    # of its images, as the benchmark plants a defect: a sampled check positions
+    # every image it reads by its bitmask, so it builds no image's members
+    powerset._powerset_per_spelling.cache_clear()
+    space = make_finite_set(range(1, 5))
+    pairs = list(mu_component(space).pairs)
+    index = next(i for i, (family, _) in enumerate(pairs) if len(family) >= 2)
+    pairs[index] = (pairs[index][0], next(image for _, image in pairs if image is not pairs[index][1]))
+    _, mu = handed_over(space, pairs)
+    images = {id(image) for _, image in pairs}
+    assert len(images) == 16 and not any(id(atom) in images for atom in built_members(pairs))
+    with sets_built() as built:
+        report = check_associativity(space, samples=10_000, seed=42, mu=mu)
+    assert report.passed or report.counterexample.recheck()
+    assert [atom for atom in built.members if id(atom) in images] == []
 
 
 def test_rendering_does_not_depend_on_cache_history():
@@ -690,32 +728,42 @@ def test_exhaustive_associativity_composes_no_tables(monkeypatch):
 
 
 def test_exhaustive_associativity_builds_only_its_witness_atom(sets_built):
-    # Every FiniteSet constructed while the check and its recheck run, on cold
-    # caches; the lazy powerset objects themselves are not among them.
+    # Every set and atom constructed, and every atom's members built, while the
+    # check and its recheck run, on cold caches; the lazy powerset objects
+    # themselves are not among them.
     space = make_finite_set([1, 2])
     for mu, passes in ((MU, True), (corrupt_mu_at(space), False)):
         powerset._powerset_per_spelling.cache_clear()
         with sets_built() as built:
             report = check_associativity(space, mode="exhaustive", mu=mu)
             assert report.passed == passes and (passes or report.counterexample.recheck())
-        # the atoms of P(P(P(space))) that are not also atoms of P(P(space))
-        families = set(powerset_object(powerset_object(space)))
-        triples = {e for e in built if e and all(g in families for g in e) and FiniteSet(e) not in families}
-        assert triples == (set() if passes else {report.counterexample.value.elements}), report.to_line()
+        families = powerset_object(powerset_object(space))
+        triples = powerset_object(families)
+        # the plain sets over P(P(space)) that are not also its atoms: none
+        assert [e for e in built.sets if e and all(g in families for g in e) and FiniteSet(e) not in families] == []
+        # the atoms of P(P(P(space))): the witness alone, whose members the recheck reads
+        witness = [] if passes else [report.counterexample.value]
+        assert [atom for atom in built.atoms if atom.power is triples] == witness, report.to_line()
+        assert [atom for atom in built.members if atom.power is triples] == witness
 
 
 def test_mu_pairs_build_their_atoms_once(sets_built):
-    # a count of FiniteSets built, on cold caches, so the guard needs no timing
+    # a count of atoms built, on cold caches, so the guard needs no timing
     space = make_finite_set([1, 2, 3, 4])
     powerset._powerset_per_spelling.cache_clear()
     with sets_built() as built:
         first = mu_component(space).pairs
-    # the atoms of P²(X), and P(X)'s twice: rendered as a cache key and as images
-    assert len(built) <= 65_536 + 2 * 16 + 1
+    # the atoms of P²(X), and P(X)'s twice: as its elements and as images
+    assert built.sets == [] and len(built.atoms) == 65_536 + 2 * 16
+    # only P(X)'s elements build their members, rendered as P²(X)'s cache key
+    power = powerset_object(space)
+    assert [atom.mask for atom in built.members] == power.mask
+    assert all(atom.power is power for atom in built.members)
     # an equal space built elsewhere shares the cached P(X), and so its mu
     equal = make_finite_set(range(1, 5))
     with sets_built() as built:
-        assert equal is not space and mu_component(equal).pairs is first and built == []
+        assert equal is not space and mu_component(equal).pairs is first
+    assert (built.sets, built.atoms, built.members) == ([], [], [])
 
 
 def test_structure_maps_build_no_atoms(sets_built):
@@ -733,7 +781,7 @@ def test_structure_maps_build_no_atoms(sets_built):
         step()  # warms the caches
         with sets_built() as built:
             results = step()
-        assert built == [], f"{name}: {len(built)} sets built"
+        assert (built.sets, built.atoms, built.members) == ([], [], []), f"{name}: {built}"
     assert all(report.passed for report in results)
 
 
@@ -752,13 +800,13 @@ def test_atom_table_fills_pause_the_collector_and_restore_it(monkeypatch, enable
         powerset._powerset_per_spelling.cache_clear()
         return mu_component(make_finite_set(range(1, 5))).pairs
 
-    construct, calls = FiniteSet.__init__, []
+    construct, calls = powerset._Subset.__init__, []
 
-    def raising(self, elements=()):
+    def raising(self, power, mask):
         calls.append(None)
         if len(calls) == 1_000:  # inside the 65,536-atom fill of P(P(X)), itself inside the pairs fill
             raise RuntimeError("planted")
-        construct(self, elements)
+        construct(self, power, mask)
 
     was_on = gc.isenabled()
     try:
@@ -771,13 +819,46 @@ def test_atom_table_fills_pause_the_collector_and_restore_it(monkeypatch, enable
             gc.callbacks.remove(counting)
         assert collections == [] and gc.isenabled() == enabled
         with monkeypatch.context() as patch:
-            patch.setattr(FiniteSet, "__init__", raising)
+            patch.setattr(powerset._Subset, "__init__", raising)
             with pytest.raises(RuntimeError, match="planted"):
                 cold_pairs()
         assert len(calls) == 1_000 and gc.isenabled() == enabled
     finally:
         gc.enable() if was_on else gc.disable()
         powerset._powerset_per_spelling.cache_clear()
+
+
+def test_a_cold_mu_pairs_read_builds_no_family_members():
+    # the 65,536 atoms of P(P({1,2,3,4})) are bitmasks until read: a cold read of
+    # mu's pairs peaks under 14 MB (19.0 MB when each atom was built with its member tuple)
+    powerset._powerset_per_spelling.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pairs = mu_component(make_finite_set(range(1, 5))).pairs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 65_536 and built_members(pairs) == []
+    assert peak < 14_000_000, f"{peak} bytes at peak"
+
+
+def test_powersets_their_atoms_and_mu_copy_and_pickle_without_filling():
+    # each copy rebuilds from defining fields: a copy that read every slot would
+    # fill P(P(X))'s union, which is mu at P(X) and needs P of its 65,536 atoms
+    powerset._powerset_per_spelling.cache_clear()
+    power = powerset_object(make_finite_set(range(1, 5)))
+    families = powerset_object(power)
+    objects = [power, families, families.atom(0b1000_0000_0110_0001), mu_component(make_finite_set([1, 2]))]
+    copies = [[twin(obj) for twin in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o)))]
+              for obj in objects]
+    for field in (FiniteSet.elements, powerset._PowerSet.union):
+        with pytest.raises(AttributeError):
+            field.__get__(families)  # still unset
+    for obj, twins in zip(objects, copies):
+        for twin in twins:
+            assert twin == obj and obj == twin and hash(twin) == hash(obj)
+            assert obj is families or show(twin) == show(obj)  # rendering 65,536 atoms takes a second
 
 
 def test_naturality_sweeps_build_no_lifted_tables(monkeypatch):
