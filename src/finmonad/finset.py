@@ -10,11 +10,12 @@ Sets keep their elements in one canonical sorted order, which makes equality
 of sets, functions, and nested subsets plain structural comparison. Nothing is
 hashed or indexed before a lookup needs it: a set's hash and `member_set`, an
 arrow's `table`, and, in the powerset layer's private subclasses, a set's
-`elements`, a powerset's μ and an arrow's `pairs` each stay unset until their
-first read. Each fill computes a value fixed at construction, so threads that
-race to fill it store equal ones. The powerset layer pauses the cyclic
-collector, which is process-wide, while it fills a table of atoms, so a race
-between threads can change only when the collector runs, never a result.
+`elements`, a powerset's canonical order and μ, and an arrow's `pairs` each
+stay unset until their first read. Each fill computes a value fixed at
+construction, so threads that race to fill it store equal ones. The
+powerset layer pauses the cyclic collector, which is process-wide, while it
+fills a table of atoms, so a race between threads can change only when the
+collector runs, never a result.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ map. The unit wraps an element into a singleton subset; the multiplication
 collapses a family of subsets into its union. The checkers verify the monad
 laws, each an equation between two composites of arrows, by comparing both
 composites on codes: a subset's bitmask in a powerset, any other atom's position.
+Each composite is one list over every code of its domain, and the two lists are
+compared whole; only where they differ is the witness named, by canonical rank,
+so no check builds the canonical order of its domain.
 
 Space sizes grow as 2^2^...^|X|, so exhaustive checking is only attempted
 within explicit caps; past them the associativity checker switches to seeded
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import gc
 import random
-from functools import cache, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 
 from .containers import Record
 from .finset import (
@@ -45,25 +48,28 @@ class PowersetTooLargeError(FinsetError):
 # ---------------------------------------------------------------------------
 
 class _PowerSet(FiniteSet):
-    """P(space), its atoms and its μ built on first read. Each subset is also a
-    bitmask over the positions of `space`, so images and unions are ORs of ints,
-    and each atom is a `_Subset`: its bitmask, its members built on first read."""
+    """P(space), its atoms, their canonical order and its μ built on first read. Each
+    subset is also a bitmask over the positions of `space`, so images and unions are
+    ORs of ints, and each atom is a `_Subset`: its bitmask, its members built on first read."""
 
     __slots__ = ("mask", "position", "union")  # mask[i] is the bitmask of elements[i]
 
     def __init__(self, space: FiniteSet):
-        # Canonical order is lexicographic on member tuples: over the elements from
-        # the k-th on, the empty subset, then those holding the k-th, then the rest.
-        order = [0]
-        for k in reversed(range(len(space))):
-            order[1:1] = [1 << k | t for t in order]
-        self.mask, self.position = order, {x: i for i, x in enumerate(space.elements)}  # x -> its index
+        self.position = {x: i for i, x in enumerate(space.elements)}  # x -> its index
 
     def __len__(self) -> int:
-        return len(self.mask)
+        return 1 << len(self.position)
 
     def __getattr__(self, name: str):
-        # reached only while `elements`, `union`, `_hash` or `_member_set` is unset
+        # reached only while `mask`, `elements`, `union`, `_hash` or `_member_set` is unset
+        if name == "mask":
+            # Canonical order is lexicographic on member tuples: over the elements from
+            # the k-th on, the empty subset, then those holding the k-th, then the rest.
+            order = [0]
+            for k in reversed(range(len(self.position))):
+                order[1:1] = [1 << k | t for t in order]
+            self.mask = order
+            return order
         if name == "union":  # μ at `space`: a family of subsets maps to its union
             self.union = _Indexed(powerset_object(self), self, _images(self.mask))
             return self.union
@@ -168,7 +174,7 @@ class _Indexed(FiniteFunction):
         self.domain, self.codomain, self.index = domain, codomain, index
 
     def _image(self, x):
-        return self.codomain.atom(self.index[_coding(self.domain)[2](x)])
+        return self.codomain.atom(self.index[_coding(self.domain)[1](x)])
 
     def __reduce__(self):
         # from the index, so no copy fills `pairs` or `table`
@@ -181,7 +187,7 @@ class _Indexed(FiniteFunction):
         index, domain, codomain = self.index, self.domain, self.codomain  # read once, not per atom
         with _collector_paused():
             atoms = {c: codomain.atom(c) for c in set(index)}
-            self.pairs = tuple(zip(domain.elements, [atoms[index[c]] for c in _coding(domain)[0]]))
+            self.pairs = tuple(zip(domain.elements, [atoms[index[c]] for c in _order(domain)]))
         return self.pairs
 
 
@@ -211,7 +217,7 @@ def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
 
 def eta_component(space: FiniteSet) -> FiniteFunction:
     """The unit at `space`: x maps to {x}, the bit at x's position, indexed by x's code."""
-    return _Indexed(space, powerset_object(space), [1 << i for i in map(_coding(space)[3], range(len(space)))])
+    return _Indexed(space, powerset_object(space), [1 << i for i in map(_coding(space)[2], range(len(space)))])
 
 
 def mu_component(space: FiniteSet) -> FiniteFunction:
@@ -272,11 +278,35 @@ MU = NatTransform("mu", POWERSET_SQUARED, POWERSET, mu_component)
 # checkers
 # ---------------------------------------------------------------------------
 
+def _order(space: FiniteSet):
+    """The codes of `space` (see `_coding`) in canonical order."""
+    return space.mask if isinstance(space, _PowerSet) else range(len(space))
+
+
+def _first_by_position(left: list, right: list) -> int:
+    """The first index at which two lists differ, which they must somewhere."""
+    return next(c for c in range(len(left)) if left[c] != right[c])
+
+
+def _first_by_rank(left: list, right: list) -> int:
+    """The bitmask of least rank at which two lists indexed by bitmask differ, which
+    they must somewhere. Among the bitmasks that agree with c below bit `step`,
+    canonical order puts c first, then those with bit `step` set, then the rest."""
+    c, step = 0, 1
+    while left[c] == right[c]:
+        if left[c | step::step << 1] != right[c | step::step << 1]:
+            c |= step
+        step <<= 1
+    return c
+
+
 def _coding(space: FiniteSet):
-    """The codes of `space` in canonical order, a code's atom, an atom's code (else NotInDomainError)
-    and a code's position: in a powerset a subset's bitmask and its rank, elsewhere a position twice."""
+    """How `space`'s atoms are coded, as codes 0 to len(space) - 1: a code's atom, an atom's
+    code (else NotInDomainError), a code's position in canonical order, and the code of least
+    position at which two lists indexed by code differ. In a powerset a subset's code is its
+    bitmask, elsewhere an atom's code is its position; neither needs the order itself."""
     if isinstance(space, _PowerSet):
-        return space.mask, space.atom, space.mask_of, space.rank
+        return space.atom, space.mask_of, space.rank, _first_by_rank
 
     def code(x) -> int:
         try:
@@ -284,17 +314,31 @@ def _coding(space: FiniteSet):
         except ValueError:
             raise NotInDomainError(f"{x!r} is not an element of {space!r}") from None
 
-    return range(len(space)), space.elements.__getitem__, code, int
+    return space.elements.__getitem__, code, int, _first_by_position
+
+
+class _Entries(dict):
+    """A hand-built arrow's map on codes: each entry read by `read` on its first lookup."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read):
+        self.read = read
+
+    def __missing__(self, c: int) -> int:
+        self[c] = image = self.read(c)
+        return image
 
 
 def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> tuple:
     """f as a step from `dom` to `cod`, the checker's own objects: its map on atoms and
-    its map on codes, the one reader of a handed arrow's entries: an `_Indexed` arrow's
-    index, else one code at a time on first use, so a hand-built table is what gets
-    checked: pairs[i] when its key is the atom at position i of `dom`, else `apply`."""
+    its table on codes, indexed by code, the one reader of a handed arrow's entries: an
+    `_Indexed` arrow's index, else `_Entries` that read one code at a time on first lookup,
+    so a hand-built table is what gets checked: pairs[i] when its key is the atom at
+    position i of `dom`, else `apply`."""
     if isinstance(f, _Indexed):
-        return partial(apply, f), f.index.__getitem__
-    (_, atom, _, rank), code, pairs = _coding(dom), _coding(cod)[2], f.pairs
+        return partial(apply, f), f.index
+    (atom, _, rank, _), code, pairs = _coding(dom), _coding(cod)[1], f.pairs
 
     def read(c: int) -> int:
         i = rank(c)
@@ -307,13 +351,26 @@ def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> tuple:
         except NotInDomainError:
             raise CodomainViolationError(f"{f!r} maps to {image!r}, outside its codomain") from None
 
-    return partial(apply, f), cache(read)
+    return partial(apply, f), _Entries(read)
 
 
-def _lift(read, dom: FiniteSet, cod: FiniteSet) -> list[int]:
-    """P on codes: P(f)'s index, for f from `dom` to `cod` with map on codes `read`."""
-    position = _coding(cod)[3]
-    return _images([1 << position(read(c)) for c in _coding(dom)[0]])
+def _lift(table, dom: FiniteSet, cod: FiniteSet) -> list[int]:
+    """P on codes: P(f)'s index, for f from `dom` to `cod` with table on codes `table`."""
+    position = _coding(cod)[2]
+    return _images([1 << position(table[c]) for c in _order(dom)])
+
+
+def _side(steps, n: int) -> list[int]:
+    """A composite of steps (see `_codes`), applied first to last, as the list of its
+    codes at codes 0 to n - 1 of its domain. An `_Entries` table is read only at the
+    codes that the steps before it reach."""
+    if not steps:
+        return list(range(n))
+    (_, table), *rest = steps
+    side = table if isinstance(table, list) else [table[c] for c in range(n)]
+    for _, table in rest:
+        side = [table[c] for c in side]
+    return side
 
 
 def _replay(sides, value) -> tuple:
@@ -323,22 +380,24 @@ def _replay(sides, value) -> tuple:
 
 def _compare(dom: FiniteSet, cod: FiniteSet, lhs, rhs, labels) -> Counterexample | None:
     """Compare two composites, each a sequence of steps (see `_codes`) applied first to
-    last from `dom` into `cod`, by their code maps at every code of `dom` in canonical
-    order. The first difference becomes atoms, replayed from the atom maps; else None."""
-    codes, atom = _coding(dom)[:2]
-    sides = (reduce(lambda side, step: map(step[1], side), steps, codes) for steps in (lhs, rhs))
-    for c, left, right in zip(codes, *sides):
-        if left != right:
-            value, cod_atom = atom(c), _coding(cod)[1]
-            maps = tuple(tuple(m for m, _ in steps) for steps in (lhs, rhs))  # no code table outlives the check
-            return Counterexample(value, cod_atom(left), cod_atom(right), labels, partial(_replay, maps, value))
-    return None
+    last from `dom` into `cod`, as two whole lists of codes, one per side (see `_side`).
+    Where they differ, the code of least canonical position becomes atoms, replayed
+    from the atom maps; else None."""
+    left, right = _side(lhs, len(dom)), _side(rhs, len(dom))
+    if left == right:
+        return None
+    atom, _, _, first_difference = _coding(dom)
+    c, cod_atom = first_difference(left, right), _coding(cod)[0]
+    value = atom(c)
+    maps = tuple(tuple(m for m, _ in steps) for steps in (lhs, rhs))  # no code table outlives the check
+    return Counterexample(value, cod_atom(left[c]), cod_atom(right[c]), labels, partial(_replay, maps, value))
 
 
 def _naturality(transform: NatTransform, subject: str, dom: FiniteSet, cod: FiniteSet, arrows) -> LawReport:
     """One report on the squares target(f) ∘ component(dom) = component(cod) ∘ source(f)
     of `transform`, on all of source(dom), for each f in the list `arrows` from `dom`
-    to `cod`, stopping at the first witness. The objects and both components are read once."""
+    to `cod`, stopping at the first arrow with a witness. The objects and both components
+    are read once."""
     source, target = transform.source, transform.target
     s_dom, s_cod = source.on_object(dom), source.on_object(cod)
     t_dom, t_cod = target.on_object(dom), target.on_object(cod)
@@ -378,8 +437,9 @@ def check_unit_laws(
 
     The triangles say that inserting a subset into a singleton family, or
     turning each of its elements into a singleton, then taking the union,
-    gives the subset back. The check walks μ∘η_P over every subset, then
-    μ∘P(η), and stops at the first witness. `checked` reports the size of
+    gives the subset back. The check compares μ∘η_P with the identity over
+    every subset, then μ∘P(η), and skips the second triangle once the first
+    has a witness. `checked` reports the size of
     the multiplication table at this component, which is the exhaustive
     workload behind the comparison. The `eta`/`mu` parameters exist so tests
     can plant corrupted transformations and watch the check fail.
@@ -414,9 +474,10 @@ def check_associativity(
     P(space) to be union. A member is `randrange(n)`'s draw on Python 3.11,
     written out: k = n.bit_length() random bits, drawn again while at least n.
     They read the handed mu at `space` only where their samples reach, so cost
-    follows `samples` (at least 1), not |P(P(space))|. Both modes read each
-    handed component through `_codes`, stop at the first witness and build
-    atoms only for it. Exhaustive mode writes each side once, as steps; both modes
+    follows `samples` (at least 1), not |P(P(space))|, and stop drawing at their
+    first witness. Exhaustive mode writes each side once, as steps, evaluates both
+    at every code and names the difference of least canonical rank. Both modes read
+    each handed component through `_codes`, build atoms only for the witness, and
     replay P(mu) by its definition. The law name records the mode, seed and sample count.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
@@ -435,9 +496,10 @@ def check_associativity(
 
     if mode == "exhaustive":
         mu_p, triples = mu.component(power), powerset_object(families)
-        p_mu = (lift_mu, _lift(codes_mu, families, power).__getitem__)  # reads every entry of mu_x
+        p_mu = (lift_mu, _lift(codes_mu, families, power))  # reads every entry of mu_x
+        step_mu = (apply_mu, [codes_mu[c] for c in range(len(families))])  # so both sides read mu_x as a list
         witness = _compare(triples, power, (_codes(mu_p, triples, families), step_mu), (p_mu, step_mu), labels)
-        return LawReport("monad-associativity[exhaustive]", show(space), len(triples.mask), witness)
+        return LawReport("monad-associativity[exhaustive]", show(space), len(triples), witness)
 
     flatten = lambda family: make_finite_set(s for member in family for s in member)  # mu_P, taken to be union
     rng, witness, masks = random.Random(seed), None, families.mask
@@ -451,9 +513,9 @@ def check_associativity(
                 j = draw(k)
             drawn.append(j)
             if lift[j] is None:
-                lift[j] = 1 << power.rank(codes_mu(masks[j]))
+                lift[j] = 1 << power.rank(codes_mu[masks[j]])
             union, image = union | masks[j], image | lift[j]
-        lhs, rhs = codes_mu(union), codes_mu(image)
+        lhs, rhs = codes_mu[union], codes_mu[image]
         if lhs != rhs:
             value = make_finite_set(families.atom(masks[j]) for j in drawn)
             replay = partial(_replay, ((flatten, apply_mu), (lift_mu, apply_mu)), value)

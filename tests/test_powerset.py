@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import gc
 import itertools
 import pickle
@@ -9,6 +10,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finmonad import finset, powerset
 from finmonad.finset import (
@@ -130,6 +133,63 @@ def test_rank_is_the_position_of_a_bitmask():
     for space in spaces:
         power = powerset_object(space)
         assert [power.rank(m) for m in power.mask] == list(range(len(power)))
+
+
+def first_difference_at(space, differing) -> int:
+    """The witness code that `_compare` names on `space` for two sides that differ
+    exactly at the codes in `differing`."""
+    left, right = list(range(len(space))), list(range(len(space)))
+    for c in differing:
+        right[c] = -1
+    return powerset._coding(space)[3](left, right)
+
+
+def test_first_difference_is_the_least_rank_at_every_difference_set():
+    # every nonempty set of differing codes, on the powersets of 0 to 3 elements
+    for n in range(4):
+        power = powerset_object(make_finite_set(range(n)))
+        for bits in range(1, 1 << len(power)):
+            differing = [c for c in range(len(power)) if bits >> c & 1]
+            assert first_difference_at(power, differing) == min(differing, key=power.rank), differing
+
+
+def test_first_difference_on_a_plain_set_is_the_first_position():
+    # a plain set's codes are positions, so canonical order is code order
+    space = make_finite_set(["a", "b", "c", "d", "e"])
+    for bits in range(1, 1 << len(space)):
+        differing = [c for c in range(len(space)) if bits >> c & 1]
+        assert first_difference_at(space, differing) == differing[0]
+
+
+SIXTEEN = powerset_object(make_finite_set(range(16)))
+CODES = st.integers(0, len(SIXTEEN) - 1)
+
+
+@functools.cache
+def ranks_of_sixteen() -> list[int]:
+    """ranks[m] is the rank of bitmask m in SIXTEEN, read off its canonical order."""
+    ranks = [0] * len(SIXTEEN)
+    for i, m in enumerate(SIXTEEN.mask):
+        ranks[m] = i
+    return ranks
+
+
+def at_density(rng, density) -> set:
+    """A random set of codes of SIXTEEN, each drawn at odds `density`, never empty."""
+    return {c for c in range(len(SIXTEEN)) if rng.random() < density} or {rng.randrange(len(SIXTEEN))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    CODES.map(lambda c: {c}),  # single codes
+    st.sets(CODES, max_size=16).map(lambda absent: set(range(len(SIXTEEN))) - absent),  # dense
+    st.sets(CODES, min_size=1, max_size=64),  # sparse
+    st.builds(at_density, st.integers(0, 2**32 - 1).map(random.Random), st.sampled_from([0.001, 0.1, 0.5, 0.9])),
+))
+def test_first_difference_is_the_least_rank_over_sixteen_bits(differing):
+    # P over 16 bits, 65,536 codes: the descent over strided slices against the
+    # least rank, read from a table of ranks built from canonical order
+    assert first_difference_at(SIXTEEN, differing) == min(differing, key=ranks_of_sixteen().__getitem__)
 
 
 def test_mask_of_gives_a_subsets_bitmask_and_refuses_anything_else():
@@ -747,6 +807,68 @@ def test_exhaustive_associativity_builds_only_its_witness_atom(sets_built):
         assert [atom for atom in built.members if atom.power is triples] == witness
 
 
+def order_is_built(power) -> bool:
+    """Whether the canonical order of a powerset has been built."""
+    try:
+        powerset._PowerSet.mask.__get__(power)
+    except AttributeError:  # the slot stays unset until the first read
+        return False
+    return True
+
+
+def planted_mus(space):
+    """mu corrupted as the benchmark plants it: a copy of mu's pairs at `space`
+    with one family of at least two members sent to a wrong subset, for every
+    such family and every wrong subset."""
+    honest = mu_component(space)
+    for i, (family, right) in enumerate(honest.pairs):
+        for wrong in honest.codomain if len(family) >= 2 else ():
+            if wrong != right:
+                pairs = list(honest.pairs)
+                pairs[i] = (family, wrong)
+                table = FiniteFunction(honest.domain, honest.codomain, pairs)
+                yield NatTransform("mu-corrupted", MU.source, MU.target,
+                                   lambda at, table=table: table if at == space else mu_component(at))
+
+
+def test_no_check_at_size_two_builds_the_order_of_p_cubed():
+    # the 65,536 codes of P(P(P({1,2}))) are compared in code order, and a witness
+    # is found by rank, so no check, recheck or replay builds their canonical order
+    powerset._powerset_per_spelling.cache_clear()
+    space = make_finite_set([1, 2])
+    triples = powerset_object(powerset_object(powerset_object(space)))
+    planted = list(planted_mus(space))
+    assert len(planted) == 11 * 3
+    checks = {
+        "lawful associativity": lambda: [check_associativity(space, mode="exhaustive")],
+        "planted mu": lambda: [check_associativity(space, mode="exhaustive", mu=mu) for mu in planted],
+        "unit laws": lambda: [check_unit_laws(space)],
+        "naturality sweep": lambda: naturality_sweep(MU, 2),
+    }
+    for name, check in checks.items():
+        reports = check()
+        assert all(report.passed or report.counterexample.recheck() for report in reports), name
+        assert [report.passed for report in reports] == [name != "planted mu"] * len(reports), name
+        assert powerset_object(powerset_object(powerset_object(space))) is triples
+        assert not order_is_built(triples), name
+    assert order_is_built(powerset_object(powerset_object(space)))  # P lifts mu along the 16 families' order
+
+
+def test_a_cold_lawful_exhaustive_associativity_peaks_under_three_megabytes():
+    # without P(P(P({1,2})))'s canonical order, 65,536 ints built apart from the
+    # tables, the peak is 2.2 MB; with it, 3.9 MB
+    powerset._powerset_per_spelling.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = check_associativity(make_finite_set([1, 2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checked == 65_536
+    assert peak < 3_000_000, f"{peak} bytes at peak"
+
+
 def test_mu_pairs_build_their_atoms_once(sets_built):
     # a count of atoms built, on cold caches, so the guard needs no timing
     space = make_finite_set([1, 2, 3, 4])
@@ -1057,9 +1179,9 @@ def sampled_line_by_randrange(space, mu, seed=42, samples=10_000):
         while not drawn or rng.random() < 0.5:
             drawn.append(j := rng.randrange(len(lift)))
             if lift[j] is None:
-                lift[j] = 1 << power.mask.index(codes_mu(families.mask[j]))
+                lift[j] = 1 << power.mask.index(codes_mu[families.mask[j]])
             union, image = union | families.mask[j], image | lift[j]
-        lhs, rhs = codes_mu(union), codes_mu(image)
+        lhs, rhs = codes_mu[union], codes_mu[image]
         if lhs != rhs:
             value = make_finite_set(families.atom(families.mask[j]) for j in drawn)
             witness = Counterexample(value, power.atom(lhs), power.atom(rhs), ("mu∘mu_P", "mu∘P(mu)"), None)
