@@ -6,9 +6,11 @@ map. The unit wraps an element into a singleton subset; the multiplication
 collapses a family of subsets into its union. The checkers verify the monad
 laws, each an equation between two composites of arrows, by comparing both
 composites on codes: a subset's bitmask in a powerset, any other atom's position.
-Each composite is one list over every code of its domain, and the two lists are
-compared whole; only where they differ is the witness named, by canonical rank,
-so no check builds the canonical order of its domain.
+Each composite is one code table over every code of its domain: `bytes` when every
+code of its codomain fits a byte, else a list, composed step by step with
+`bytes.translate` where both steps are bytes. The two tables are compared whole;
+only where they differ is the witness named, by canonical rank, so no check
+builds the canonical order of its domain.
 
 Space sizes grow as 2^2^...^|X|, so exhaustive checking is only attempted
 within explicit caps; past them the associativity checker switches to seeded
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import gc
 import random
-from functools import lru_cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 
 from .containers import Record
 from .finset import (
@@ -48,11 +50,12 @@ class PowersetTooLargeError(FinsetError):
 # ---------------------------------------------------------------------------
 
 class _PowerSet(FiniteSet):
-    """P(space), its atoms, their canonical order and its μ built on first read. Each
-    subset is also a bitmask over the positions of `space`, so images and unions are
-    ORs of ints, and each atom is a `_Subset`: its bitmask, its members built on first read."""
+    """P(space), its atoms, their canonical order, its μ and its cache key, each built on
+    first read. Each subset is also a bitmask over the positions of `space`, so images and
+    unions are ORs of ints, and each atom is a `_Subset`: its bitmask, its members built
+    on first read."""
 
-    __slots__ = ("mask", "position", "union")  # mask[i] is the bitmask of elements[i]
+    __slots__ = ("mask", "position", "union", "spelling")  # mask[i] is the bitmask of elements[i]
 
     def __init__(self, space: FiniteSet):
         self.position = {x: i for i, x in enumerate(space.elements)}  # x -> its index
@@ -61,7 +64,7 @@ class _PowerSet(FiniteSet):
         return 1 << len(self.position)
 
     def __getattr__(self, name: str):
-        # reached only while `mask`, `elements`, `union`, `_hash` or `_member_set` is unset
+        # reached only while `mask`, `elements`, `union`, `spelling`, `_hash` or `_member_set` is unset
         if name == "mask":
             # Canonical order is lexicographic on member tuples: over the elements from
             # the k-th on, the empty subset, then those holding the k-th, then the rest.
@@ -71,8 +74,11 @@ class _PowerSet(FiniteSet):
             self.mask = order
             return order
         if name == "union":  # μ at `space`: a family of subsets maps to its union
-            self.union = _Indexed(powerset_object(self), self, _images(self.mask))
+            self.union = _Indexed(powerset_object(self), self, _images(self.mask, len(self)))
             return self.union
+        if name == "spelling":  # its key in the powerset cache, fixed by its carrier's spelling
+            self.spelling = "P" + show(tuple(self.position))
+            return self.spelling
         if name != "elements":
             raise AttributeError(name)
         with _collector_paused():
@@ -154,23 +160,38 @@ class _collector_paused:
             gc.enable()
 
 
-def _images(bits) -> list[int]:
-    """images[m] is the OR of bits[i] over the set bits i of m, for every m."""
-    images = [0]
+def _table_type(size: int) -> type:
+    """The one rule for a code table whose entries are codes of a space of `size` atoms:
+    `bytes` when every such code fits a byte (a powerset of at most 8 elements, a plain
+    set of at most 256 atoms), so it is built and composed in C, else a list."""
+    return bytes if size <= 256 else list
+
+
+@cache
+def _or_with(b: int) -> bytes:
+    """The `bytes.translate` table that sends each byte x to x | b; at most 256 are kept."""
+    return bytes(x | b for x in range(256))
+
+
+def _images(bits, size: int):
+    """images[m] is the OR of bits[i] over the set bits i of m, for every m: a table of
+    codes of a powerset of `size` atoms, doubled once per bit, by one `translate` on bytes."""
+    images = _table_type(size)((0,))
     for b in bits:
-        images += [m | b for m in images]
+        images += images.translate(_or_with(b)) if isinstance(images, bytes) else [m | b for m in images]
     return images
 
 
 class _Indexed(FiniteFunction):
     """The arrow that sends the atom of the domain with code c (see `_coding`) to the
-    subset of the codomain with bitmask index[c]. Its `pairs` are built on first read
-    and kept; its `table` is built from them on its own first read. `apply` maps one
-    atom without either."""
+    subset of the codomain with bitmask index[c]. μ, η and P(f) build their index as
+    `_table_type` gives for the codomain: bytes when its codes fit a byte, else a list.
+    Its `pairs` are built on first read and kept; its `table` is built from them on its
+    own first read. `apply` maps one atom without either."""
 
     __slots__ = ("index",)
 
-    def __init__(self, domain: FiniteSet, codomain: _PowerSet, index: list[int]):
+    def __init__(self, domain: FiniteSet, codomain: _PowerSet, index):
         self.domain, self.codomain, self.index = domain, codomain, index
 
     def _image(self, x):
@@ -193,11 +214,13 @@ class _Indexed(FiniteFunction):
 
 def powerset_object(space: FiniteSet) -> FiniteSet:
     """P(space): the set of all 2^|space| subsets, canonically ordered. The cap is checked
-    before `space` is rendered or hashed, which would build all its atoms."""
+    before `space` is rendered or hashed, which would build all its atoms. A powerset is
+    not rendered for its key: its `spelling`, "P" and its carrier's, stands in, which no
+    rendered set starts with."""
     n = len(space)
     if n > POWERSET_CAP:
         raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {POWERSET_CAP}")
-    return _powerset_per_spelling(space, show(space))
+    return _powerset_per_spelling(space, space.spelling if isinstance(space, _PowerSet) else show(space))
 
 
 @lru_cache(maxsize=64)
@@ -217,7 +240,8 @@ def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
 
 def eta_component(space: FiniteSet) -> FiniteFunction:
     """The unit at `space`: x maps to {x}, the bit at x's position, indexed by x's code."""
-    return _Indexed(space, powerset_object(space), [1 << i for i in map(_coding(space)[2], range(len(space)))])
+    power = powerset_object(space)
+    return _Indexed(space, power, _table_type(len(power))(1 << i for i in map(_coding(space)[2], range(len(space)))))
 
 
 def mu_component(space: FiniteSet) -> FiniteFunction:
@@ -283,15 +307,16 @@ def _order(space: FiniteSet):
     return space.mask if isinstance(space, _PowerSet) else range(len(space))
 
 
-def _first_by_position(left: list, right: list) -> int:
-    """The first index at which two lists differ, which they must somewhere."""
+def _first_by_position(left, right) -> int:
+    """The first index at which two code tables of one type differ, which they must somewhere."""
     return next(c for c in range(len(left)) if left[c] != right[c])
 
 
-def _first_by_rank(left: list, right: list) -> int:
-    """The bitmask of least rank at which two lists indexed by bitmask differ, which
-    they must somewhere. Among the bitmasks that agree with c below bit `step`,
-    canonical order puts c first, then those with bit `step` set, then the rest."""
+def _first_by_rank(left, right) -> int:
+    """The bitmask of least rank at which two code tables of one type, indexed by bitmask,
+    differ, which they must somewhere: slices and `==` compare lists and bytes alike. Among
+    the bitmasks that agree with c below bit `step`, canonical order puts c first, then
+    those with bit `step` set, then the rest."""
     c, step = 0, 1
     while left[c] == right[c]:
         if left[c | step::step << 1] != right[c | step::step << 1]:
@@ -303,7 +328,7 @@ def _first_by_rank(left: list, right: list) -> int:
 def _coding(space: FiniteSet):
     """How `space`'s atoms are coded, as codes 0 to len(space) - 1: a code's atom, an atom's
     code (else NotInDomainError), a code's position in canonical order, and the code of least
-    position at which two lists indexed by code differ. In a powerset a subset's code is its
+    position at which two code tables differ. In a powerset a subset's code is its
     bitmask, elsewhere an atom's code is its position; neither needs the order itself."""
     if isinstance(space, _PowerSet):
         return space.atom, space.mask_of, space.rank, _first_by_rank
@@ -354,23 +379,29 @@ def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> tuple:
     return partial(apply, f), _Entries(read)
 
 
-def _lift(table, dom: FiniteSet, cod: FiniteSet) -> list[int]:
+def _lift(table, dom: FiniteSet, cod: FiniteSet):
     """P on codes: P(f)'s index, for f from `dom` to `cod` with table on codes `table`."""
     position = _coding(cod)[2]
-    return _images([1 << position(table[c]) for c in _order(dom)])
+    return _images([1 << position(table[c]) for c in _order(dom)], 1 << len(cod))
 
 
-def _side(steps, n: int) -> list[int]:
-    """A composite of steps (see `_codes`), applied first to last, as the list of its
-    codes at codes 0 to n - 1 of its domain. An `_Entries` table is read only at the
+def _side(steps, n: int, size: int):
+    """A composite of steps (see `_codes`), applied first to last, as the table of its
+    codes at codes 0 to n - 1 of its domain, into a codomain of `size` atoms, of the type
+    `_table_type` gives. A step composes with the table so far by one `translate` when
+    both are bytes, else one comprehension, so an `_Entries` table is read only at the
     codes that the steps before it reach."""
+    kind = _table_type(size)
     if not steps:
-        return list(range(n))
+        return kind(range(n))
     (_, table), *rest = steps
-    side = table if isinstance(table, list) else [table[c] for c in range(n)]
+    side = [table[c] for c in range(n)] if isinstance(table, _Entries) else table
     for _, table in rest:
-        side = [table[c] for c in side]
-    return side
+        if isinstance(side, bytes) and isinstance(table, bytes):
+            side = side.translate(table.ljust(256, b"\0"))  # unread padding: side's codes are table's domain
+        else:
+            side = [table[c] for c in side]
+    return side if type(side) is kind else kind(side)
 
 
 def _replay(sides, value) -> tuple:
@@ -380,10 +411,10 @@ def _replay(sides, value) -> tuple:
 
 def _compare(dom: FiniteSet, cod: FiniteSet, lhs, rhs, labels) -> Counterexample | None:
     """Compare two composites, each a sequence of steps (see `_codes`) applied first to
-    last from `dom` into `cod`, as two whole lists of codes, one per side (see `_side`).
-    Where they differ, the code of least canonical position becomes atoms, replayed
-    from the atom maps; else None."""
-    left, right = _side(lhs, len(dom)), _side(rhs, len(dom))
+    last from `dom` into `cod`, as two whole code tables of one type, one per side (see
+    `_side`), by `==` and, for the witness, slices. Where they differ, the code of least
+    canonical position becomes atoms, replayed from the atom maps; else None."""
+    left, right = _side(lhs, len(dom), len(cod)), _side(rhs, len(dom), len(cod))
     if left == right:
         return None
     atom, _, _, first_difference = _coding(dom)
@@ -497,11 +528,13 @@ def check_associativity(
     if mode == "exhaustive":
         mu_p, triples = mu.component(power), powerset_object(families)
         p_mu = (lift_mu, _lift(codes_mu, families, power))  # reads every entry of mu_x
-        step_mu = (apply_mu, [codes_mu[c] for c in range(len(families))])  # so both sides read mu_x as a list
+        step_mu = (apply_mu, _side((step_mu,), len(families), len(power)))  # mu_x read whole, as a table
         witness = _compare(triples, power, (_codes(mu_p, triples, families), step_mu), (p_mu, step_mu), labels)
         return LawReport("monad-associativity[exhaustive]", show(space), len(triples), witness)
 
     flatten = lambda family: make_finite_set(s for member in family for s in member)  # mu_P, taken to be union
+    if isinstance(codes_mu, bytes):
+        codes_mu = list(codes_mu)  # read per draw, and a list subscript is the faster one
     rng, witness, masks = random.Random(seed), None, families.mask
     draw, coin, n = rng.getrandbits, rng.random, len(masks)
     k, lift = n.bit_length(), [None] * n  # lift by draw position, filled as members are drawn

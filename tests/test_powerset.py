@@ -137,11 +137,18 @@ def test_rank_is_the_position_of_a_bitmask():
 
 def first_difference_at(space, differing) -> int:
     """The witness code that `_compare` names on `space` for two sides that differ
-    exactly at the codes in `differing`."""
+    exactly at the codes in `differing`, as lists and again as bytes (codes mod 256,
+    one bit flipped at each differing code): both must name the same code."""
+    first_difference = powerset._coding(space)[3]
     left, right = list(range(len(space))), list(range(len(space)))
+    octets = bytes(c % 256 for c in left)
+    flipped = bytearray(octets)
     for c in differing:
         right[c] = -1
-    return powerset._coding(space)[3](left, right)
+        flipped[c] ^= 1
+    by_list, by_bytes = first_difference(left, right), first_difference(octets, bytes(flipped))
+    assert by_list == by_bytes, (by_list, by_bytes)
+    return by_list
 
 
 def test_first_difference_is_the_least_rank_at_every_difference_set():
@@ -666,7 +673,7 @@ def test_corrupted_multiplication_fails_naturality_with_witness():
 
 def test_a_failing_exhaustive_witness_keeps_no_code_table_alive():
     # the replay holds the sides' maps on atoms only: kept alive, P(mu)'s table on
-    # codes (65,536 entries at {1,2}) would cost about half a megabyte
+    # codes (65,536 entries at {1,2}, one byte each) would cost 64 KB
     space = make_finite_set([1, 2])
     broken_mu = corrupt_mu_at(space)
     check_associativity(space, mu=broken_mu)  # warm the caches
@@ -680,7 +687,7 @@ def test_a_failing_exhaustive_witness_keeps_no_code_table_alive():
     finally:
         tracemalloc.stop()
     assert report.counterexample.recheck()
-    assert retained < 100_000, f"{retained} bytes retained"
+    assert retained < 32_000, f"{retained} bytes retained"
 
 
 def test_a_failing_naturality_sweep_stops_lifting_at_its_witness(monkeypatch):
@@ -854,9 +861,10 @@ def test_no_check_at_size_two_builds_the_order_of_p_cubed():
     assert order_is_built(powerset_object(powerset_object(space)))  # P lifts mu along the 16 families' order
 
 
-def test_a_cold_lawful_exhaustive_associativity_peaks_under_three_megabytes():
-    # without P(P(P({1,2})))'s canonical order, 65,536 ints built apart from the
-    # tables, the peak is 2.2 MB; with it, 3.9 MB
+def test_a_cold_lawful_exhaustive_associativity_peaks_under_half_a_megabyte():
+    # each side is a 64 KB byte table, composed by `bytes.translate`, so the peak
+    # is 0.28 MB; as lists of 65,536 codes, 2.2 MB; with P(P(P({1,2})))'s canonical
+    # order built as well, 3.9 MB
     powerset._powerset_per_spelling.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -866,7 +874,7 @@ def test_a_cold_lawful_exhaustive_associativity_peaks_under_three_megabytes():
     finally:
         tracemalloc.stop()
     assert report.passed and report.checked == 65_536
-    assert peak < 3_000_000, f"{peak} bytes at peak"
+    assert peak < 500_000, f"{peak} bytes at peak"
 
 
 def test_mu_pairs_build_their_atoms_once(sets_built):

@@ -1,10 +1,13 @@
-"""A differential reference for the powerset monad's checkers at {1,2}.
+"""A differential reference for the powerset monad's checkers.
 
 The reference states both unit triangles, exhaustive associativity and the
 naturality squares of η and μ by their definitions, over frozensets: no codes,
 no bitmasks, nothing of the library but the lines it must print. Each check is
-run on mutants of μ or η at {1,2}, and its report line must equal the
-reference's: verdict, witness, lhs and rhs.
+run on mutants of μ or η, at {1,2} and, for the unit triangles, at {1,2,3} and
+{1,2,3,4}, and its report line must equal the reference's: verdict, witness,
+lhs and rhs. The library's code tables are bytes where every code of their
+codomain fits a byte and lists elsewhere, so between them these carriers and
+the index-copy mutants read both kinds.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import combinations, product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finmonad import FiniteFunction, FiniteSet, make_finite_set
+from finmonad import FiniteFunction, FiniteSet, make_finite_set, powerset
 from finmonad.powerset import (
     ETA,
     MU,
@@ -69,15 +72,26 @@ def line(law: str, checked: int, witness, subject: str = "{1,2}") -> str:
     return f"FAIL {law} @ {subject} witness={render(value)}{labels} lhs={render(lhs)} rhs={render(rhs)}"
 
 
+def singleton(x) -> frozenset:
+    return frozenset({x})
+
+
+def unit_line(space, mu, eta) -> str:
+    """The unit triangles' line at the carrier `space`, for μ and η at `space` given
+    as functions, η at P(X) being singleton: μ∘η_P at every subset, then μ∘P(η)."""
+    power = subsets(space)
+    unit = first_witness(power, lambda s: mu(singleton(s)), lambda s: s, "mu∘eta_P") or first_witness(
+        power, lambda s: mu(frozenset(map(eta, s))), lambda s: s, "mu∘P(eta)")
+    return line("monad-unit[exhaustive]", 2 ** len(power), unit, render(space))
+
+
 def reference_lines(mu: dict) -> list[str]:
     """The two lines for a μ at X given as a dict from each family to a subset;
     η sends x to {x}, and μ at P(X) is union, as the library's are."""
-    power, families, triples, mu_p = spaces()
-    unit = first_witness(power, lambda s: mu[frozenset({s})], lambda s: s, "mu∘eta_P") or first_witness(
-        power, lambda s: mu[frozenset(frozenset({x}) for x in s)], lambda s: s, "mu∘P(eta)")
+    triples, mu_p = spaces()[2:]
     assoc = first_witness(triples, lambda t: mu[mu_p[t]], lambda t: mu[frozenset(mu[f] for f in t)],
                           "mu∘mu_P,mu∘P(mu)")
-    return [line("monad-unit[exhaustive]", len(families), unit),
+    return [unit_line(SPACE, mu.__getitem__, singleton),
             line("monad-associativity[exhaustive]", len(triples), assoc)]
 
 
@@ -85,10 +99,11 @@ def frozen(atom):
     return frozenset(map(frozen, atom)) if isinstance(atom, FiniteSet) else atom
 
 
-def mutant(transform: NatTransform, wrong: dict) -> NatTransform:
-    """`transform` with its component at X changed at each atom of `wrong` (a dict
-    from an atom's position to a subset's position, canonical order)."""
-    space, power = make_finite_set(SPACE), spaces()[0]
+def mutant(transform: NatTransform, wrong: dict, carrier=SPACE) -> NatTransform:
+    """`transform` with its component at `carrier` changed at each atom of `wrong` (a
+    dict from an atom's position to a subset's position, canonical order), handed
+    as a hand-built table."""
+    space, power = make_finite_set(carrier), subsets(carrier)
     honest = transform.component(space)
     images = {frozen(s): s for s in honest.codomain}
     table = FiniteFunction(honest.domain, honest.codomain, [
@@ -102,16 +117,16 @@ def checked_lines(reports) -> list[str]:
     return [report.to_line() for report in reports]
 
 
-def checker_lines(wrong: dict) -> list[str]:
-    """The checkers' two lines for μ at X changed at each family of `wrong`."""
-    space, mu = make_finite_set(SPACE), mutant(MU, wrong)
+def checker_lines(mu: NatTransform) -> list[str]:
+    """The checkers' two lines at X for `mu`."""
+    space = make_finite_set(SPACE)
     return checked_lines([check_unit_laws(space, mu=mu), check_associativity(space, mode="exhaustive", mu=mu)])
 
 
 def assert_agree(wrong: dict) -> None:
     power, families = spaces()[:2]
     mu = {family: power[wrong[i]] if i in wrong else union(family) for i, family in enumerate(families)}
-    assert checker_lines(wrong) == reference_lines(mu)
+    assert checker_lines(mutant(MU, wrong)) == reference_lines(mu)
 
 
 def test_reference_orders_like_the_library():
@@ -121,12 +136,52 @@ def test_reference_orders_like_the_library():
     assert [frozen(s) for s in honest.codomain] == power and [frozen(f) for f in honest.domain] == families
 
 
-def test_every_single_point_mutant_gives_the_reference_lines():
+def single_point_mus() -> list[dict]:
     power, families = spaces()[:2]
-    mutants = [{i: j} for i, family in enumerate(families) for j, s in enumerate(power) if s != union(family)]
+    return [{i: j} for i, family in enumerate(families) for j, s in enumerate(power) if s != union(family)]
+
+
+def single_point_etas(space) -> list[dict]:
+    power = subsets(space)
+    return [{i: j} for i, x in enumerate(sorted(space)) for j, s in enumerate(power) if s != {x}]
+
+
+def test_every_single_point_mutant_gives_the_reference_lines():
+    mutants = single_point_mus()
     assert len(mutants) == 48
     for wrong in mutants:
         assert_agree(wrong)
+
+
+def test_every_index_copy_mutant_gives_the_lines_of_its_hand_built_table():
+    # μ at X handed as an `_Indexed` arrow over a copy of the honest index as a
+    # plain list, with one entry changed: the checkers read a list table where
+    # the honest one is bytes, and must print what they print for the same
+    # table handed as a `FiniteFunction`
+    space = make_finite_set(SPACE)
+    honest = mu_component(space)
+    families, power = honest.domain, honest.codomain
+    assert isinstance(honest.index, bytes)
+    for wrong in single_point_mus():
+        [(i, j)] = wrong.items()
+        index = list(honest.index)
+        index[families.mask[i]] = power.mask[j]
+        copy = powerset._Indexed(families, power, index)
+        mu = NatTransform("mu-copy", MU.source, MU.target, lambda at: copy if at == space else MU.component(at))
+        assert checker_lines(mu) == checker_lines(mutant(MU, wrong)), wrong
+
+
+def test_every_single_point_eta_mutant_gives_the_reference_unit_lines():
+    # the unit triangles at {1,2,3}, where every table is bytes, and at {1,2,3,4},
+    # where η at P(X) and P(η) are lists: 21 and 60 hand-built η tables
+    for carrier, count in ((frozenset({1, 2, 3}), 21), (frozenset({1, 2, 3, 4}), 60)):
+        space, power, xs = make_finite_set(carrier), subsets(carrier), sorted(carrier)
+        mutants = single_point_etas(carrier)
+        assert len(mutants) == count
+        for wrong in mutants:
+            table = {x: power[wrong[i]] if i in wrong else singleton(x) for i, x in enumerate(xs)}
+            assert checked_lines([check_unit_laws(space, eta=mutant(ETA, wrong, carrier))]) == [
+                unit_line(carrier, union, table.__getitem__)], wrong
 
 
 @settings(max_examples=12, deadline=None)  # a lawful mutant walks all 65,536 triples
@@ -180,8 +235,7 @@ def test_every_single_point_mutant_gives_the_reference_naturality_lines():
     # the 48 single-point mutants of μ at {1,2} and the 6 of η, each swept over
     # every arrow between carriers of size at most 2
     power, families = spaces()[:2]
-    mus = [{i: j} for i, family in enumerate(families) for j, s in enumerate(power) if s != union(family)]
-    etas = [{i: j} for i, x in enumerate(sorted(SPACE)) for j, s in enumerate(power) if s != {x}]
+    mus, etas = single_point_mus(), single_point_etas(SPACE)
     assert (len(mus), len(etas)) == (48, 6)
     for wrong in mus:
         table = {family: power[wrong[i]] if i in wrong else union(family) for i, family in enumerate(families)}
@@ -189,7 +243,7 @@ def test_every_single_point_mutant_gives_the_reference_naturality_lines():
         assert checked_lines(naturality_sweep(mutant(MU, wrong), 2)) == naturality_lines(
             "mu-mutant", families_of, mu_squares(mu)), wrong
     for wrong in etas:
-        table = {x: power[wrong[i]] if i in wrong else frozenset({x}) for i, x in enumerate(sorted(SPACE))}
-        eta = lambda a, x: table[x] if a == SPACE else frozenset({x})
+        table = {x: power[wrong[i]] if i in wrong else singleton(x) for i, x in enumerate(sorted(SPACE))}
+        eta = lambda a, x: table[x] if a == SPACE else singleton(x)
         assert checked_lines(naturality_sweep(mutant(ETA, wrong), 2)) == naturality_lines(
             "eta-mutant", sorted, eta_squares(eta)), wrong
