@@ -14,13 +14,16 @@ builds the canonical order of its domain.
 
 Space sizes grow as 2^2^...^|X|, so exhaustive checking is only attempted
 within explicit caps; past them the associativity checker switches to seeded
-sampling and says so in its report. Verification strength is always explicit,
-never silently degraded.
+sampling and says so in its report. Where μ is handed as a byte index, a sampled
+check first decides whether μ is a semilattice join, which no sample can fail,
+and then prints the PASS every seed would print without drawing. Verification
+strength is always explicit, never silently degraded.
 """
 
 from __future__ import annotations
 
 import gc
+import operator
 import random
 from functools import cache, lru_cache, partial, reduce
 
@@ -234,8 +237,14 @@ def _powerset_per_spelling(space: FiniteSet, spelling: str) -> _PowerSet:
 
 def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
     """P(f): sends each subset of f's domain to its image under f, read through `_codes`."""
-    return _Indexed(powerset_object(f.domain), powerset_object(f.codomain),
-                    _lift(_codes(f, f.domain, f.codomain)[1], f.domain, f.codomain))
+    return _lifted(f, powerset_object(f.domain), powerset_object(f.codomain))
+
+
+def _lifted(f: FiniteFunction, p_dom: _PowerSet, p_cod: _PowerSet) -> _Indexed:
+    """P(f) between P(f.domain) = `p_dom` and P(f.codomain) = `p_cod`, which the caller
+    already holds, so no carrier is rendered again to find them."""
+    dom, cod = f.domain, f.codomain
+    return _Indexed(p_dom, p_cod, _lift(_codes(f, dom, cod)[1], dom, cod))
 
 
 def eta_component(space: FiniteSet) -> FiniteFunction:
@@ -404,6 +413,33 @@ def _side(steps, n: int, size: int):
     return side if type(side) is kind else kind(side)
 
 
+def _is_join(mu: bytes, power: _PowerSet) -> bool:
+    """Whether μ at X, as its byte index from family masks to subset codes, is the join
+    of a semilattice with a unit on P(X), so that no sampled family can fail.
+
+    Write m = |P(X)|, S ⊕ T = μ{S,T} and e = μ(∅); a family's mask has bit rank(S) for
+    each member S. The checks, on codes: (1) the index has one code below m for each of
+    the 2^m families; (2) μ{S} = S for every S; (3) ⊕ is associative, as m translates of
+    the m² table of ⊕; (4) μ(G) = μ(G∖{S}) ⊕ S for every nonempty G, where S is G's
+    member of least position p, as one comparison per p over the masks with lowest bit p.
+
+    Proof. ⊕ is commutative, since {S,T} = {T,S}, and idempotent, by (2). e is its unit:
+    (4) at G = {S} says S = μ{S} = e ⊕ S. So by (4), induction on G gives μ(G) = ⊕G for
+    every G, ⊕∅ being e. Hence for every family of families F, μ(∪F) = ⊕(∪F) =
+    ⊕{⊕G : G ∈ F} = μ{μG : G ∈ F}, which is exactly what a sample compares. A failed
+    check concludes nothing: the ∅-absorbing μ fails (4) at the singletons and a constant
+    μ fails (2), and both are left to the draws."""
+    m, order = len(power), power.mask
+    if len(mu) != 1 << m or mu.translate(None, bytes(range(m))) or bytes(mu[1 << p] for p in range(m)) != bytes(order):
+        return False
+    single = [1 << power.rank(s) for s in range(m)]  # single[s] is the mask of the family {S}, S with code s
+    plus = [bytes(mu[single[s] | single[t]] for t in range(m)) for s in range(m)]  # plus[s][t] is S ⊕ T
+    table, plus = b"".join(plus), [row.ljust(256, b"\0") for row in plus]  # padding unread, by (1)
+    if any(table.translate(plus[s]) != b"".join(plus[st][:m] for st in plus[s][:m]) for s in range(m)):
+        return False
+    return all(mu[1 << p::2 << p] == mu[::2 << p].translate(plus[s]) for p, s in enumerate(order))
+
+
 def _replay(sides, value) -> tuple:
     """Both sides at `value` again, each a sequence of maps on atoms applied first to last."""
     return tuple(reduce(lambda x, m: m(x), maps, value) for maps in sides)
@@ -424,20 +460,31 @@ def _compare(dom: FiniteSet, cod: FiniteSet, lhs, rhs, labels) -> Counterexample
     return Counterexample(value, cod_atom(left[c]), cod_atom(right[c]), labels, partial(_replay, maps, value))
 
 
-def _naturality(transform: NatTransform, subject: str, dom: FiniteSet, cod: FiniteSet, arrows) -> LawReport:
+def _at(transform: NatTransform, space: FiniteSet) -> tuple:
+    """What a naturality square of `transform` reads at `space`: the objects space,
+    P(space), ... up to the deeper of its endpoints, and its component at `space`."""
+    objects = [space]
+    for _ in range(max(transform.source.depth, transform.target.depth)):
+        objects.append(powerset_object(objects[-1]))
+    return objects, transform.component(space)
+
+
+def _naturality(transform: NatTransform, subject: str, dom_at: tuple, cod_at: tuple, arrows) -> LawReport:
     """One report on the squares target(f) ∘ component(dom) = component(cod) ∘ source(f)
     of `transform`, on all of source(dom), for each f in the list `arrows` from `dom`
-    to `cod`, stopping at the first arrow with a witness. The objects and both components
-    are read once."""
-    source, target = transform.source, transform.target
-    s_dom, s_cod = source.on_object(dom), source.on_object(cod)
-    t_dom, t_cod = target.on_object(dom), target.on_object(cod)
-    at_dom, at_cod = transform.component(dom), transform.component(cod)
+    to `cod`, stopping at the first arrow with a witness. `dom_at` and `cod_at` are
+    what `_at` reads at dom and cod, so a sweep reads each carrier's once, and each
+    arrow is lifted once per level, between objects already in hand."""
+    (doms, at_dom), (cods, at_cod) = dom_at, cod_at
+    source, target = transform.source.depth, transform.target.depth
+    s_dom, s_cod, t_dom, t_cod = doms[source], cods[source], doms[target], cods[target]
     step_dom, step_cod = _codes(at_dom, s_dom, t_dom), _codes(at_cod, s_cod, t_cod)
     witness = None
     for f in arrows:
-        source_f, target_f = source.on_arrow(f), target.on_arrow(f)
-        lhs, rhs = (step_dom, _codes(target_f, t_dom, t_cod)), (_codes(source_f, s_dom, s_cod), step_cod)
+        lifts = [f]  # f, P(f), P(P(f)), ...
+        for p_dom, p_cod in zip(doms[1:], cods[1:]):
+            lifts.append(_lifted(lifts[-1], p_dom, p_cod))
+        lhs, rhs = (step_dom, _codes(lifts[target], t_dom, t_cod)), (_codes(lifts[source], s_dom, s_cod), step_cod)
         if witness := _compare(s_dom, t_cod, lhs, rhs, ()):
             break
     return LawReport(f"naturality[{transform.name}]", subject, len(s_dom) * len(arrows), witness)
@@ -445,16 +492,17 @@ def _naturality(transform: NatTransform, subject: str, dom: FiniteSet, cod: Fini
 
 def check_naturality(transform: NatTransform, f: FiniteFunction) -> LawReport:
     """Verify the naturality square of `transform` at the arrow `f`."""
-    return _naturality(transform, show(f), f.domain, f.codomain, [f])
+    return _naturality(transform, show(f), _at(transform, f.domain), _at(transform, f.codomain), [f])
 
 
 def naturality_sweep(transform: NatTransform, max_size: int) -> list[LawReport]:
     """Check naturality against every arrow between integer carriers of each
     size up to `max_size`, one aggregated report per ordered size pair."""
     carriers = [make_finite_set(range(1, n + 1)) for n in range(max_size + 1)]
+    cells = [(show(space), _at(transform, space), space) for space in carriers]  # each read once
     return [
-        _naturality(transform, f"{show(dom)}->{show(cod)}", dom, cod, list(enumerate_functions(dom, cod)))
-        for dom in carriers for cod in carriers
+        _naturality(transform, f"{a}->{b}", a_at, b_at, list(enumerate_functions(dom, cod)))
+        for a, a_at, dom in cells for b, b_at, cod in cells
     ]
 
 
@@ -504,10 +552,15 @@ def check_associativity(
     one more at odds 1/2 (mean size 2, members may repeat), and take mu at
     P(space) to be union. A member is `randrange(n)`'s draw on Python 3.11,
     written out: k = n.bit_length() random bits, drawn again while at least n.
-    They read the handed mu at `space` only where their samples reach, so cost
-    follows `samples` (at least 1), not |P(P(space))|, and stop drawing at their
-    first witness. Exhaustive mode writes each side once, as steps, evaluates both
-    at every code and names the difference of least canonical rank. Both modes read
+    Where mu at `space` is handed as a byte index (the library's own mu, or an
+    index copy of it), that index is first read whole and, if it is a semilattice
+    join (`_is_join`), no family can fail: the PASS that every seed's draws would
+    print is returned without drawing, so it is proved rather than sampled. Any
+    other mu, a hand-built table above all, is read only where the samples reach,
+    so cost follows `samples` (an integer, at least 1), not |P(P(space))|, and the
+    draws stop at their first witness. Exhaustive mode writes each side once, as
+    steps, evaluates both at every code and names the difference of least
+    canonical rank. Both modes read
     each handed component through `_codes`, build atoms only for the witness, and
     replay P(mu) by its definition. The law name records the mode, seed and sample count.
     """
@@ -515,7 +568,7 @@ def check_associativity(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "exhaustive" if len(space) <= 2 else "sampled"
-    if mode == "sampled" and samples < 1:
+    if mode == "sampled" and (samples := operator.index(samples)) < 1:
         raise ValueError(f"sampled mode needs at least one sample, not {samples}")
 
     power = powerset_object(space)
@@ -532,9 +585,12 @@ def check_associativity(
         witness = _compare(triples, power, (_codes(mu_p, triples, families), step_mu), (p_mu, step_mu), labels)
         return LawReport("monad-associativity[exhaustive]", show(space), len(triples), witness)
 
-    flatten = lambda family: make_finite_set(s for member in family for s in member)  # mu_P, taken to be union
+    label = f"monad-associativity[sampled,seed={seed},n={samples}]"
     if isinstance(codes_mu, bytes):
+        if _is_join(codes_mu, power):  # no family can fail, so every seed's draws pass
+            return LawReport(label, show(space), samples)
         codes_mu = list(codes_mu)  # read per draw, and a list subscript is the faster one
+    flatten = lambda family: make_finite_set(s for member in family for s in member)  # mu_P, taken to be union
     rng, witness, masks = random.Random(seed), None, families.mask
     draw, coin, n = rng.getrandbits, rng.random, len(masks)
     k, lift = n.bit_length(), [None] * n  # lift by draw position, filled as members are drawn
@@ -554,4 +610,4 @@ def check_associativity(
             replay = partial(_replay, ((flatten, apply_mu), (lift_mu, apply_mu)), value)
             witness = Counterexample(value, power.atom(lhs), power.atom(rhs), labels, replay)
             break
-    return LawReport(f"monad-associativity[sampled,seed={seed},n={samples}]", show(space), samples, witness)
+    return LawReport(label, show(space), samples, witness)

@@ -693,8 +693,8 @@ def test_a_failing_exhaustive_witness_keeps_no_code_table_alive():
 def test_a_failing_naturality_sweep_stops_lifting_at_its_witness(monkeypatch):
     # the two failing size pairs of a sweep with mu corrupted at {1,2} lift no
     # arrow past their first witness, so the sweep lifts fewer than the honest one
-    lifted = []
-    monkeypatch.setattr(powerset, "powerset_arrow", lambda f: lifted.append(f) or powerset_arrow(f))
+    lifted, lift = [], powerset._lifted  # the sweep lifts each arrow on its cell's objects
+    monkeypatch.setattr(powerset, "_lifted", lambda f, *powersets: lifted.append(f) or lift(f, *powersets))
     counts = []
     for transform in (MU, corrupt_mu_at(make_finite_set([1, 2]))):
         lifted.clear()
@@ -1211,6 +1211,151 @@ def test_sampled_associativity_draws_what_randrange_drew():
         assert line == sampled_line_by_randrange(space, mu, seed), line
         fails += line.startswith("FAIL")
     assert fails == 146 + 10  # the stride's 146 kills of 150, and every absorbing seed
+
+
+def index_copy(space, index):
+    """mu whose component at `space` is an index arrow over `index`, as the
+    library's own mu is, and honest everywhere else."""
+    honest = mu_component(space)
+    copy = powerset._Indexed(honest.domain, honest.codomain, index)
+    return NatTransform("mu-copy", MU.source, MU.target, lambda at: copy if at == space else mu_component(at))
+
+
+def fold(space, join, unit) -> bytes:
+    """The byte index of mu(G) = the fold of G under `join`, an operation on the
+    subset codes of `space` with unit `unit`: each family's fold is its fold
+    without its first member, joined with that member."""
+    power = powerset_object(space)
+    index = bytearray([unit]) * (1 << len(power))
+    for g in range(1, len(index)):
+        index[g] = join(index[g & (g - 1)], power.mask[(g & -g).bit_length() - 1])
+    return bytes(index)
+
+
+def permuted_union(space, sigma) -> bytes:
+    """The fold of union carried along the permutation `sigma` of subset codes; the
+    complement gives intersection, whose unit is the whole carrier."""
+    inverse = {s: c for c, s in enumerate(sigma)}
+    return fold(space, lambda a, b: sigma[inverse[a] | inverse[b]], sigma[0])
+
+
+def chain(space, order) -> bytes:
+    """The fold of the greatest member along `order`, a list of every subset code."""
+    rank = {c: i for i, c in enumerate(order)}
+    return fold(space, lambda a, b: max(a, b, key=rank.__getitem__), order[0])
+
+
+def unital(index, power) -> bool:
+    return all(index[1 << p] == s for p, s in enumerate(power.mask))
+
+
+def magma_folds(space) -> set:
+    """The folds, as `fold` builds them, of every commutative idempotent operation
+    on the subset codes of `space` with a unit, associative or not."""
+    codes = range(len(powerset_object(space)))
+    folds = set()
+    for unit in codes:
+        pairs = list(itertools.combinations([c for c in codes if c != unit], 2))
+        for values in itertools.product(codes, repeat=len(pairs)):
+            table = {frozenset(pair): v for pair, v in zip(pairs, values)}
+            join = lambda a, b: b if a == unit else a if b == unit or a == b else table[frozenset((a, b))]
+            folds.add(fold(space, join, unit))
+    return folds
+
+
+def test_the_semilattice_decision_passes_exactly_the_lawful_unital_mus_at_size_two():
+    # Brute force by the exhaustive check, which compares both sides at every
+    # family of families: the folds of all 256 commutative idempotent operations
+    # with a unit on P({1,2}), among them every lattice (the 24 orders of a chain
+    # and the 12 labellings of the square); the constants; the absorbing mu; and
+    # every single-point mutant of union, intersection and a chain
+    space = make_finite_set([1, 2])
+    power = powerset_object(space)
+    codes = range(len(power))
+    lattices = {permuted_union(space, sigma) for sigma in itertools.permutations(codes)}
+    lattices |= {chain(space, list(order)) for order in itertools.permutations(codes)}
+    folds = magma_folds(space)
+    assert len(lattices) == 36 and len(folds) == 256 and lattices <= folds
+    union, meet, line = mu_component(space).index, permuted_union(space, [3, 2, 1, 0]), chain(space, [2, 0, 3, 1])
+    absorbing = bytes(0 if g & 1 else union[g] for g in range(len(union)))  # {} is the member at position 0
+    mus = [*folds, *(bytes([c]) * len(union) for c in codes), absorbing]
+    for honest in (union, meet, line):
+        for g in range(len(honest)):
+            mus += [honest[:g] + bytes([c]) + honest[g + 1:] for c in codes if c != honest[g]]
+    assert len(mus) == 256 + 4 + 1 + 3 * 48
+    decided = 0
+    for index in mus:
+        lawful = check_associativity(space, mode="exhaustive", mu=index_copy(space, index)).passed
+        assert powerset._is_join(index, power) == (lawful and unital(index, power)), list(index)
+        decided += lawful and unital(index, power)
+    assert decided == 36
+
+
+def test_a_decided_sampled_line_is_the_line_every_draw_gives():
+    # semilattice folds, none of them union, take the decision; the loop the
+    # decision skips would have printed the same line
+    rng = random.Random(27)
+    for space, count in ((make_finite_set([1, 2, 3]), 4), (make_finite_set(range(1, 5)), 1)):
+        power = powerset_object(space)
+        codes, complement = list(range(len(power))), [len(power) - 1 - c for c in range(len(power))]
+        folds = [permuted_union(space, complement)]  # intersection
+        for _ in range(count):
+            folds += [permuted_union(space, rng.sample(codes, len(codes))), chain(space, rng.sample(codes, len(codes)))]
+        for index in folds:
+            assert powerset._is_join(index, power)
+            mu = index_copy(space, index)
+            assert check_associativity(space, mu=mu).to_line() == sampled_line_by_randrange(space, mu)
+
+
+def test_no_single_point_index_mutant_at_size_three_is_decided():
+    # all 1,792 single-point mutants of mu's byte index at {1,2,3} go to the
+    # draws, and a stride of them prints what the same table hand-built prints
+    space = make_finite_set([1, 2, 3])
+    power, honest = powerset_object(space), mu_component(space)
+    mutants = [(family, wrong) for family, right in honest.pairs for wrong in honest.codomain if wrong != right]
+    assert len(mutants) == 1792
+    for n, (family, wrong) in enumerate(mutants):
+        index = bytearray(honest.index)
+        index[family.mask] = wrong.mask
+        assert not powerset._is_join(bytes(index), power), (family, wrong)
+        if n % 160 == 0:
+            line = check_associativity(space, mu=index_copy(space, bytes(index))).to_line()
+            assert line == check_associativity(space, mu=mu_corrupted_at(space, family, wrong)).to_line()
+
+
+def test_an_index_with_a_code_out_of_range_or_of_the_wrong_length_is_not_decided():
+    space = make_finite_set([1, 2, 3])
+    power, honest = powerset_object(space), mu_component(space).index
+    pair = (1 << 0) | (1 << 1)  # the family {{},{1}}
+    for index in (honest[:pair] + b"\x08" + honest[pair + 1:], honest[:128], honest + honest):
+        assert not powerset._is_join(index, power)
+
+
+def test_a_decided_sampled_pass_draws_nothing(monkeypatch):
+    def refuse(seed):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(powerset.random, "Random", refuse)
+    powerset._powerset_per_spelling.cache_clear()
+    space = make_finite_set(range(1, 5))
+    report = check_associativity(space, samples=10**6)
+    assert report.to_line() == "PASS monad-associativity[sampled,seed=42,n=1000000] @ {1,2,3,4} checked=1000000"
+    assert not order_is_built(powerset_object(powerset_object(space)))
+
+
+class Five:
+    def __index__(self):
+        return 5
+
+
+def test_a_sample_count_is_an_integer_on_both_paths():
+    space = make_finite_set([1, 2, 3])
+    hand_built = handed_over(space, mu_component(space).pairs)[1]
+    for mu in (MU, hand_built):
+        with pytest.raises(TypeError):
+            check_associativity(space, samples=2.5, mu=mu)
+        assert check_associativity(space, samples=Five(), mu=mu).to_line() == (
+            "PASS monad-associativity[sampled,seed=42,n=5] @ {1,2,3} checked=5")
 
 
 # ---------------------------------------------------------------------------
