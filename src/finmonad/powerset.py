@@ -53,35 +53,39 @@ class PowersetTooLargeError(FinsetError):
 # ---------------------------------------------------------------------------
 
 class _PowerSet(FiniteSet):
-    """P(space), its atoms, their canonical order, its μ and its cache key, each built on
-    first read. Each subset is also a bitmask over the positions of `space`, so images and
-    unions are ORs of ints, and each atom is a `_Subset`: its bitmask, its members built
-    on first read."""
+    """P(carrier) and what derives from it, each built on first read: its atoms, their
+    canonical order, μ and η at the carrier, and P of itself. Each subset is also a bitmask
+    over the carrier's positions, so images and unions are ORs of ints, and each atom is a
+    `_Subset`: its bitmask, its members built on first read."""
 
-    __slots__ = ("mask", "position", "union", "spelling")  # mask[i] is the bitmask of elements[i]
+    __slots__ = ("carrier", "mask", "union", "unit", "power")  # mask[i] is the bitmask of elements[i]
 
-    def __init__(self, space: FiniteSet):
-        self.position = {x: i for i, x in enumerate(space.elements)}  # x -> its index
+    def __init__(self, carrier: FiniteSet):
+        self.carrier = carrier
 
     def __len__(self) -> int:
-        return 1 << len(self.position)
+        return 1 << len(self.carrier)
 
     def __getattr__(self, name: str):
-        # reached only while `mask`, `elements`, `union`, `spelling`, `_hash` or `_member_set` is unset
+        # reached only while `mask`, `elements`, `union`, `unit`, `power`, `_hash` or `_member_set` is unset
         if name == "mask":
             # Canonical order is lexicographic on member tuples: over the elements from
             # the k-th on, the empty subset, then those holding the k-th, then the rest.
             order = [0]
-            for k in reversed(range(len(self.position))):
+            for k in reversed(range(len(self.carrier))):
                 order[1:1] = [1 << k | t for t in order]
             self.mask = order
             return order
-        if name == "union":  # μ at `space`: a family of subsets maps to its union
+        if name == "union":  # μ at the carrier: a family of subsets maps to its union
             self.union = _Indexed(powerset_object(self), self, _images(self.mask, len(self)))
             return self.union
-        if name == "spelling":  # its key in the powerset cache, fixed by its carrier's spelling
-            self.spelling = "P" + show(tuple(self.position))
-            return self.spelling
+        if name == "unit":  # η at the carrier: x maps to {x}, the bit at x's position, indexed by x's code
+            position, carrier = _coding(self.carrier)[2], self.carrier
+            self.unit = _Indexed(carrier, self, _table_type(len(self))(1 << position(c) for c in range(len(carrier))))
+            return self.unit
+        if name == "power":  # P of this powerset, read through `powerset_object`, which checks the cap
+            self.power = _PowerSet(self)
+            return self.power
         if name != "elements":
             raise AttributeError(name)
         with _collector_paused():
@@ -89,24 +93,25 @@ class _PowerSet(FiniteSet):
         return self.elements
 
     def __reduce__(self):
-        # from the carrier, so no copy fills `elements` or `union`
-        return powerset_object, (FiniteSet(tuple(self.position)),)
+        # from the carrier, so no copy fills a field
+        return powerset_object, (self.carrier,)
 
     def atom(self, m: int) -> FiniteSet:
         """The subset whose bitmask is m, its members not yet built."""
         return _Subset(self, m)
 
     def mask_of(self, subset) -> int:
-        """The bitmask of one of these subsets: an atom of this powerset's own is read
-        off, any other set takes one lookup per member; NotInDomainError for anything else."""
+        """The bitmask of one of these subsets: an atom of this powerset's own is read off,
+        any other set ORs η's image at each member's code in the carrier (see `_coding`);
+        NotInDomainError for anything else."""
         if isinstance(subset, _Subset) and subset.power is self:
             return subset.mask
         if isinstance(subset, FiniteSet):
-            position, mask = self.position, 0
+            code, unit, mask = _coding(self.carrier)[1], self.unit.index, 0
             try:
                 for x in subset:
-                    mask |= 1 << position[x]
-            except KeyError:
+                    mask |= unit[code(x)]
+            except NotInDomainError:
                 pass
             else:
                 return mask
@@ -115,7 +120,7 @@ class _PowerSet(FiniteSet):
     def rank(self, m: int) -> int:
         """The position of bitmask m in canonical order. Each set bit s after the one before, p
         (or -1), passes the prefix so far and the 2^(n-1-p) - 2^(n-s) extending it between p and s."""
-        top = 1 << len(self.position)
+        top = len(self)
         rank, skip = 0, top  # skip is 2^(n-1-p)
         while m:
             step = top // (m & -m)  # 2^(n-s)
@@ -138,7 +143,7 @@ class _Subset(FiniteSet):
         if name != "elements":
             raise AttributeError(name)
         mask = self.mask
-        self.elements = tuple(x for i, x in enumerate(self.power.position) if mask >> i & 1)
+        self.elements = tuple(x for i, x in enumerate(self.power.carrier) if mask >> i & 1)
         return self.elements
 
     def __reduce__(self):
@@ -217,19 +222,18 @@ class _Indexed(FiniteFunction):
 
 def powerset_object(space: FiniteSet) -> FiniteSet:
     """P(space): the set of all 2^|space| subsets, canonically ordered. The cap is checked
-    before `space` is rendered or hashed, which would build all its atoms. A powerset is
-    not rendered for its key: its `spelling`, "P" and its carrier's, stands in, which no
-    rendered set starts with."""
+    before `space` is rendered or hashed, which would build all its atoms. A powerset
+    holds its own powerset as its `power`; a plain set's is cached by its spelling."""
     n = len(space)
     if n > POWERSET_CAP:
         raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {POWERSET_CAP}")
-    return _powerset_per_spelling(space, space.spelling if isinstance(space, _PowerSet) else show(space))
+    return space.power if isinstance(space, _PowerSet) else _powerset_per_spelling(space, show(space))
 
 
 @lru_cache(maxsize=64)
 def _powerset_per_spelling(space: FiniteSet, spelling: str) -> _PowerSet:
-    """The one powerset cache, keyed also on how `space`'s atoms are spelled. True
-    == 1, so {False,True} == {0,1}: keyed on equality alone, it would answer both
+    """The powerset cache of plain sets, keyed also on how `space`'s atoms are spelled.
+    True == 1, so {False,True} == {0,1}: keyed on equality alone, it would answer both
     spellings with whichever it built first, and report lines would depend on
     cache history."""
     return _PowerSet(space)
@@ -243,14 +247,12 @@ def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
 def _lifted(f: FiniteFunction, p_dom: _PowerSet, p_cod: _PowerSet) -> _Indexed:
     """P(f) between P(f.domain) = `p_dom` and P(f.codomain) = `p_cod`, which the caller
     already holds, so no carrier is rendered again to find them."""
-    dom, cod = f.domain, f.codomain
-    return _Indexed(p_dom, p_cod, _lift(_codes(f, dom, cod)[1], dom, cod))
+    return _Indexed(p_dom, p_cod, _lift(_codes(f, f.domain, f.codomain)[1], f.domain, p_cod))
 
 
 def eta_component(space: FiniteSet) -> FiniteFunction:
-    """The unit at `space`: x maps to {x}, the bit at x's position, indexed by x's code."""
-    power = powerset_object(space)
-    return _Indexed(space, power, _table_type(len(power))(1 << i for i in map(_coding(space)[2], range(len(space)))))
+    """The unit at `space`: x maps to {x}."""
+    return powerset_object(space).unit
 
 
 def mu_component(space: FiniteSet) -> FiniteFunction:
@@ -388,10 +390,10 @@ def _codes(f: FiniteFunction, dom: FiniteSet, cod: FiniteSet) -> tuple:
     return partial(apply, f), _Entries(read)
 
 
-def _lift(table, dom: FiniteSet, cod: FiniteSet):
-    """P on codes: P(f)'s index, for f from `dom` to `cod` with table on codes `table`."""
-    position = _coding(cod)[2]
-    return _images([1 << position(table[c]) for c in _order(dom)], 1 << len(cod))
+def _lift(table, dom: FiniteSet, p_cod: _PowerSet):
+    """P on codes: P(f)'s index, for f from `dom` with table on codes `table`, into `p_cod`."""
+    unit = p_cod.unit.index  # η at f's codomain, whose image at a code is the bitmask of {it}
+    return _images([unit[table[c]] for c in _order(dom)], len(p_cod))
 
 
 def _side(steps, n: int, size: int):
@@ -432,7 +434,7 @@ def _is_join(mu: bytes, power: _PowerSet) -> bool:
     m, order = len(power), power.mask
     if len(mu) != 1 << m or mu.translate(None, bytes(range(m))) or bytes(mu[1 << p] for p in range(m)) != bytes(order):
         return False
-    single = [1 << power.rank(s) for s in range(m)]  # single[s] is the mask of the family {S}, S with code s
+    single = powerset_object(power).unit.index  # single[s] is the mask of the family {S}, S with code s
     plus = [bytes(mu[single[s] | single[t]] for t in range(m)) for s in range(m)]  # plus[s][t] is S ⊕ T
     table, plus = b"".join(plus), [row.ljust(256, b"\0") for row in plus]  # padding unread, by (1)
     if any(table.translate(plus[s]) != b"".join(plus[st][:m] for st in plus[s][:m]) for s in range(m)):
@@ -560,9 +562,9 @@ def check_associativity(
     so cost follows `samples` (an integer, at least 1), not |P(P(space))|, and the
     draws stop at their first witness. Exhaustive mode writes each side once, as
     steps, evaluates both at every code and names the difference of least
-    canonical rank. Both modes read
-    each handed component through `_codes`, build atoms only for the witness, and
-    replay P(mu) by its definition. The law name records the mode, seed and sample count.
+    canonical rank. Both modes read each handed component through `_codes`, lift
+    codes through η at P(space), build atoms only for the witness, and replay
+    P(mu) by its definition. The law name records the mode, seed and sample count.
     """
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -580,20 +582,18 @@ def check_associativity(
 
     if mode == "exhaustive":
         mu_p, triples = mu.component(power), powerset_object(families)
-        p_mu = (lift_mu, _lift(codes_mu, families, power))  # reads every entry of mu_x
+        p_mu = (lift_mu, _lift(codes_mu, families, families))  # reads every entry of mu_x
         step_mu = (apply_mu, _side((step_mu,), len(families), len(power)))  # mu_x read whole, as a table
         witness = _compare(triples, power, (_codes(mu_p, triples, families), step_mu), (p_mu, step_mu), labels)
         return LawReport("monad-associativity[exhaustive]", show(space), len(triples), witness)
 
     label = f"monad-associativity[sampled,seed={seed},n={samples}]"
-    if isinstance(codes_mu, bytes):
-        if _is_join(codes_mu, power):  # no family can fail, so every seed's draws pass
-            return LawReport(label, show(space), samples)
-        codes_mu = list(codes_mu)  # read per draw, and a list subscript is the faster one
+    if isinstance(codes_mu, bytes) and _is_join(codes_mu, power):  # no family can fail, so every seed's draws pass
+        return LawReport(label, show(space), samples)
     flatten = lambda family: make_finite_set(s for member in family for s in member)  # mu_P, taken to be union
-    rng, witness, masks = random.Random(seed), None, families.mask
+    rng, witness, masks, unit = random.Random(seed), None, families.mask, families.unit.index
     draw, coin, n = rng.getrandbits, rng.random, len(masks)
-    k, lift = n.bit_length(), [None] * n  # lift by draw position, filled as members are drawn
+    k = n.bit_length()
     for _ in range(samples):
         drawn, union, image = [], 0, 0
         while not drawn or coin() < 0.5:  # one member, then one more at odds 1/2
@@ -601,9 +601,8 @@ def check_associativity(
             while j >= n:  # randrange(n)'s recipe on Python 3.11: a seed draws the same members
                 j = draw(k)
             drawn.append(j)
-            if lift[j] is None:
-                lift[j] = 1 << power.rank(codes_mu[masks[j]])
-            union, image = union | masks[j], image | lift[j]
+            m = masks[j]
+            union, image = union | m, image | unit[codes_mu[m]]  # image: the family of the members' μ
         lhs, rhs = codes_mu[union], codes_mu[image]
         if lhs != rhs:
             value = make_finite_set(families.atom(masks[j]) for j in drawn)

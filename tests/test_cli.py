@@ -129,8 +129,8 @@ def test_powerset_check_small_sweep(run_cli):
 
 
 def test_powerset_check_max_size_four_at_default_samples(run_cli):
-    # 10,000 small families at {1,2,3,4} take about 0.06 s to draw; the whole
-    # run about 0.3 s (the README times it)
+    # the library's mu is decided a semilattice join from its index, so the
+    # 10,000 samples at {1,2,3,4} are passed without a draw (the README times it)
     code, out = run_cli("powerset-check", "--max-size", "4")
     assert code == 0
     lines = out.splitlines()
@@ -139,14 +139,22 @@ def test_powerset_check_max_size_four_at_default_samples(run_cli):
 
 
 def test_powerset_check_max_size_four_builds_no_atom_table(run_cli, sets_built):
-    # the README's claim, as a count on cold caches: no 65,536-atom fill, so no
-    # pause of the collector either, is on the CLI path (65 sets are built, 12
-    # plain and 53 atoms, and the members of those 53)
+    # the README's claim, as a count on cold caches: the CLI path builds its 12
+    # plain carriers and no powerset atom, so no member tuple and no atom fill
     powerset._powerset_per_spelling.cache_clear()
     with sets_built() as built:
         code, _ = run_cli("powerset-check", "--max-size", "4")
-    assert code == 0 and built.atoms
-    assert len(built.sets) + len(built.atoms) <= 100 and len(built.members) <= 100
+    assert code == 0
+    assert (len(built.sets), built.atoms, built.members) == (12, [], [])
+
+
+def test_powerset_check_default_builds_no_atom(run_cli, sets_built):
+    # every check of the default command reads codes: no powerset atom is built
+    powerset._powerset_per_spelling.cache_clear()
+    with sets_built() as built:
+        code, _ = run_cli("powerset-check")
+    assert code == 0
+    assert (built.atoms, built.members) == ([], [])
 
 
 def test_laws_report_transcript_is_pinned(run_cli):

@@ -241,10 +241,14 @@ def test_rendering_does_not_depend_on_cache_history():
     # in either order, whichever of the two the powerset caches saw first
     bools = make_finite_set([True, False]), ("{}", "{False}", "{False,True}", "{True}")
     ints = make_finite_set(range(2)), ("{}", "{0}", "{0,1}", "{1}")
-    for space, subsets in (bools, ints, bools):
+    powerset._powerset_per_spelling.cache_clear()
+    for space, subsets in (bools, ints, bools, ints):
         power = "{" + ",".join(subsets) + "}"
         assert show(powerset_object(space)) == power
         assert show(mu_component(space).codomain) == power
+        # eta's domain is the carrier P(space) was cached with, so of the same spelling
+        x, y = map(show, space)
+        assert show(eta_component(space)) == f"{{{x}->{{{x}}},{y}->{{{y}}}}}"
         # mu itself, against one built eagerly from this spelling's atoms
         atoms = [make_finite_set(c) for n in range(3) for c in itertools.combinations(space, n)]
         families = [make_finite_set(c) for n in range(5) for c in itertools.combinations(atoms, n)]
@@ -554,8 +558,9 @@ def test_an_over_cap_powerset_is_refused_before_its_argument_is_built():
     families = powerset_object(powerset_object(space))
     with pytest.raises(PowersetTooLargeError):
         check_associativity(space, mode="exhaustive")
-    with pytest.raises(AttributeError):
-        FiniteSet.elements.__get__(families)  # its atoms are still unbuilt
+    for field in (FiniteSet.elements, powerset._PowerSet.power):  # its atoms and its P are still unbuilt
+        with pytest.raises(AttributeError):
+            field.__get__(families)
 
 
 def mu_corrupted_at(space, family, wrong):
@@ -883,16 +888,15 @@ def test_mu_pairs_build_their_atoms_once(sets_built):
     powerset._powerset_per_spelling.cache_clear()
     with sets_built() as built:
         first = mu_component(space).pairs
-    # the atoms of P²(X), and P(X)'s twice: as its elements and as images
-    assert built.sets == [] and len(built.atoms) == 65_536 + 2 * 16
-    # only P(X)'s elements build their members, rendered as P²(X)'s cache key
-    power = powerset_object(space)
-    assert [atom.mask for atom in built.members] == power.mask
-    assert all(atom.power is power for atom in built.members)
-    # an equal space built elsewhere shares the cached P(X), and so its mu
+    # the atoms of P²(X), and P(X)'s once, as images; P²(X) is held by P(X), so
+    # nothing is rendered to find it and no atom builds its members
+    assert built.sets == [] and len(built.atoms) == 65_536 + 16 and built.members == []
+    # an equal space built elsewhere shares the cached P(X), and so its mu and eta,
+    # whose domain is the carrier P(X) was built from
     equal = make_finite_set(range(1, 5))
     with sets_built() as built:
         assert equal is not space and mu_component(equal).pairs is first
+        assert eta_component(equal) is eta_component(space) and eta_component(equal).domain is space
     assert (built.sets, built.atoms, built.members) == ([], [], [])
 
 
@@ -975,16 +979,19 @@ def test_a_cold_mu_pairs_read_builds_no_family_members():
 
 def test_powersets_their_atoms_and_mu_copy_and_pickle_without_filling():
     # each copy rebuilds from defining fields: a copy that read every slot would
-    # fill P(P(X))'s union, which is mu at P(X) and needs P of its 65,536 atoms
+    # fill P(P(X))'s union, which is mu at P(X) and needs P of its 65,536 atoms;
+    # P(P(X)) rebuilds from P(X), and P(X) from X, so each is the cached object itself
     powerset._powerset_per_spelling.cache_clear()
     power = powerset_object(make_finite_set(range(1, 5)))
     families = powerset_object(power)
     objects = [power, families, families.atom(0b1000_0000_0110_0001), mu_component(make_finite_set([1, 2]))]
     copies = [[twin(obj) for twin in (copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o)))]
               for obj in objects]
-    for field in (FiniteSet.elements, powerset._PowerSet.union):
+    for name in ("elements", "mask", "union", "unit", "power"):
+        field = getattr(powerset._PowerSet, name)
         with pytest.raises(AttributeError):
             field.__get__(families)  # still unset
+    assert all(twin is obj for obj, twins in zip(objects[:2], copies) for twin in twins)
     for obj, twins in zip(objects, copies):
         for twin in twins:
             assert twin == obj and obj == twin and hash(twin) == hash(obj)
