@@ -8,14 +8,14 @@ be checked by brute force instead of taken on faith.
 Everything is immutable after construction and safe to share across threads.
 Sets keep their elements in one canonical sorted order, which makes equality
 of sets, functions, and nested subsets plain structural comparison. Nothing is
-hashed or indexed before a lookup needs it: a set's hash and `member_set`, an
-arrow's `table`, and, in the powerset layer's private subclasses, a set's
-`elements`, a powerset's canonical order, η, μ and own powerset, and an
-arrow's `pairs` each stay unset until their first read. Each fill computes a
-value fixed at construction, so threads that race to fill it store equal
-ones. The powerset layer pauses the cyclic collector, which is process-wide,
-while it fills a table of atoms, so a race between threads can change only
-when the collector runs, never a result.
+hashed or indexed before a lookup needs it: a set's hash, `member_set` and
+`power` (its powerset), an arrow's `table`, and, in the powerset layer's
+private subclasses, a set's `elements`, a powerset's canonical order, η and
+μ, and an arrow's `pairs` each stay unset until their first read. Each fill
+computes a value fixed at construction, so threads that race to fill it store
+equal ones. The powerset layer pauses the cyclic collector, which is
+process-wide, while it fills a table of atoms, so a race between threads can
+change only when the collector runs, never a result.
 """
 
 from __future__ import annotations
@@ -86,14 +86,16 @@ class FiniteSet:
     bitmasks and build their member tuples on first read. Sets built from any
     permutations of the same atoms compare equal, hash alike and have
     identical element tuples, so downstream diagram checks reduce to
-    structural equality.
+    structural equality. A set's `power` slot holds P of it once
+    `powerset_object` has built it; a copy or pickle is rebuilt from
+    `elements` alone, so it carries no hash, member set or powerset.
 
     The constructor trusts its input: `elements` must be a tuple of distinct
     atoms in canonical order. Use `make_finite_set` or `make_subset` to
     canonicalize.
     """
 
-    __slots__ = ("elements", "_member_set", "_hash")
+    __slots__ = ("elements", "_member_set", "_hash", "power")
 
     def __init__(self, elements: tuple[Atom, ...] = ()):
         self.elements = elements
@@ -132,6 +134,9 @@ class FiniteSet:
         except AttributeError:  # the slot stays unset until the first hash
             self._hash = hash(self.elements)
             return self._hash
+
+    def __reduce__(self):
+        return FiniteSet, (self.elements,)
 
     def __repr__(self) -> str:
         if len(self) <= 8:

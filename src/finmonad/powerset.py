@@ -25,7 +25,8 @@ from __future__ import annotations
 import gc
 import operator
 import random
-from functools import cache, lru_cache, partial, reduce
+from collections.abc import Iterator
+from functools import cache, partial, reduce
 
 from .containers import Record
 from .finset import (
@@ -53,12 +54,12 @@ class PowersetTooLargeError(FinsetError):
 # ---------------------------------------------------------------------------
 
 class _PowerSet(FiniteSet):
-    """P(carrier) and what derives from it, each built on first read: its atoms, their
-    canonical order, μ and η at the carrier, and P of itself. Each subset is also a bitmask
-    over the carrier's positions, so images and unions are ORs of ints, and each atom is a
-    `_Subset`: its bitmask, its members built on first read."""
+    """P(carrier), kept as the carrier's `power`, and what derives from it, each built on
+    first read: its atoms, their canonical order, and μ and η at the carrier. A subset is a
+    bitmask over the carrier's positions, so images and unions are ORs of ints; an atom is
+    a `_Subset`, its members built on first read."""
 
-    __slots__ = ("carrier", "mask", "union", "unit", "power")  # mask[i] is the bitmask of elements[i]
+    __slots__ = ("carrier", "mask", "union", "unit")  # mask[i] is the bitmask of elements[i]
 
     def __init__(self, carrier: FiniteSet):
         self.carrier = carrier
@@ -83,9 +84,6 @@ class _PowerSet(FiniteSet):
             position, carrier = _coding(self.carrier)[2], self.carrier
             self.unit = _Indexed(carrier, self, _table_type(len(self))(1 << position(c) for c in range(len(carrier))))
             return self.unit
-        if name == "power":  # P of this powerset, read through `powerset_object`, which checks the cap
-            self.power = _PowerSet(self)
-            return self.power
         if name != "elements":
             raise AttributeError(name)
         with _collector_paused():
@@ -93,7 +91,7 @@ class _PowerSet(FiniteSet):
         return self.elements
 
     def __reduce__(self):
-        # from the carrier, so no copy fills a field
+        # from the carrier, so no copy fills a field; a shallow copy is the carrier's own P
         return powerset_object, (self.carrier,)
 
     def atom(self, m: int) -> FiniteSet:
@@ -104,7 +102,7 @@ class _PowerSet(FiniteSet):
         """The bitmask of one of these subsets: an atom of this powerset's own is read off,
         any other set ORs η's image at each member's code in the carrier (see `_coding`);
         NotInDomainError for anything else."""
-        if isinstance(subset, _Subset) and subset.power is self:
+        if isinstance(subset, _Subset) and subset.within is self:
             return subset.mask
         if isinstance(subset, FiniteSet):
             code, unit, mask = _coding(self.carrier)[1], self.unit.index, 0
@@ -129,26 +127,22 @@ class _PowerSet(FiniteSet):
 
 
 class _Subset(FiniteSet):
-    """The atom of `power` with bitmask `mask`. Its `elements` are built on first
-    read; equality, hashing and rendering are FiniteSet's, by members, so it is
-    one set with any FiniteSet of the same members."""
+    """The atom of powerset `within` with bitmask `mask`, its `elements` built on first
+    read. It compares, hashes and renders as FiniteSet does, by members: one set with
+    any FiniteSet of the same members."""
 
-    __slots__ = ("power", "mask")
+    __slots__ = ("within", "mask")
 
-    def __init__(self, power: _PowerSet, mask: int):
-        self.power, self.mask = power, mask
+    def __init__(self, within: _PowerSet, mask: int):
+        self.within, self.mask = within, mask
 
     def __getattr__(self, name: str):
         # reached only while `elements`, `_hash` or `_member_set` is unset
         if name != "elements":
             raise AttributeError(name)
         mask = self.mask
-        self.elements = tuple(x for i, x in enumerate(self.power.carrier) if mask >> i & 1)
+        self.elements = tuple(x for i, x in enumerate(self.within.carrier) if mask >> i & 1)
         return self.elements
-
-    def __reduce__(self):
-        # a copy is a plain set of the same members, so it holds no powerset
-        return FiniteSet, (self.elements,)
 
 
 class _collector_paused:
@@ -221,33 +215,22 @@ class _Indexed(FiniteFunction):
 
 
 def powerset_object(space: FiniteSet) -> FiniteSet:
-    """P(space): the set of all 2^|space| subsets, canonically ordered. The cap is checked
-    before `space` is rendered or hashed, which would build all its atoms. A powerset
-    holds its own powerset as its `power`; a plain set's is cached by its spelling."""
+    """P(space): the set of all 2^|space| subsets, canonically ordered, kept as `space.power`
+    from its first build on. The cap is checked first, so an over-cap space builds nothing."""
     n = len(space)
     if n > POWERSET_CAP:
         raise PowersetTooLargeError(f"powerset of a {n}-element set exceeds the cap of {POWERSET_CAP}")
-    return space.power if isinstance(space, _PowerSet) else _powerset_per_spelling(space, show(space))
-
-
-@lru_cache(maxsize=64)
-def _powerset_per_spelling(space: FiniteSet, spelling: str) -> _PowerSet:
-    """The powerset cache of plain sets, keyed also on how `space`'s atoms are spelled.
-    True == 1, so {False,True} == {0,1}: keyed on equality alone, it would answer both
-    spellings with whichever it built first, and report lines would depend on
-    cache history."""
-    return _PowerSet(space)
+    try:
+        return space.power
+    except AttributeError:  # the slot stays unset until the first build
+        space.power = _PowerSet(space)
+        return space.power
 
 
 def powerset_arrow(f: FiniteFunction) -> FiniteFunction:
-    """P(f): sends each subset of f's domain to its image under f, read through `_codes`."""
-    return _lifted(f, powerset_object(f.domain), powerset_object(f.codomain))
-
-
-def _lifted(f: FiniteFunction, p_dom: _PowerSet, p_cod: _PowerSet) -> _Indexed:
-    """P(f) between P(f.domain) = `p_dom` and P(f.codomain) = `p_cod`, which the caller
-    already holds, so no carrier is rendered again to find them."""
-    return _Indexed(p_dom, p_cod, _lift(_codes(f, f.domain, f.codomain)[1], f.domain, p_cod))
+    """P(f): P(f.domain) → P(f.codomain), a subset to its image, read through `_codes`."""
+    p_cod = powerset_object(f.codomain)
+    return _Indexed(powerset_object(f.domain), p_cod, _lift(_codes(f, f.domain, f.codomain)[1], f.domain, p_cod))
 
 
 def eta_component(space: FiniteSet) -> FiniteFunction:
@@ -462,31 +445,18 @@ def _compare(dom: FiniteSet, cod: FiniteSet, lhs, rhs, labels) -> Counterexample
     return Counterexample(value, cod_atom(left[c]), cod_atom(right[c]), labels, partial(_replay, maps, value))
 
 
-def _at(transform: NatTransform, space: FiniteSet) -> tuple:
-    """What a naturality square of `transform` reads at `space`: the objects space,
-    P(space), ... up to the deeper of its endpoints, and its component at `space`."""
-    objects = [space]
-    for _ in range(max(transform.source.depth, transform.target.depth)):
-        objects.append(powerset_object(objects[-1]))
-    return objects, transform.component(space)
-
-
-def _naturality(transform: NatTransform, subject: str, dom_at: tuple, cod_at: tuple, arrows) -> LawReport:
+def _naturality(transform: NatTransform, subject: str, dom: FiniteSet, cod: FiniteSet, arrows) -> LawReport:
     """One report on the squares target(f) ∘ component(dom) = component(cod) ∘ source(f)
     of `transform`, on all of source(dom), for each f in the list `arrows` from `dom`
-    to `cod`, stopping at the first arrow with a witness. `dom_at` and `cod_at` are
-    what `_at` reads at dom and cod, so a sweep reads each carrier's once, and each
-    arrow is lifted once per level, between objects already in hand."""
-    (doms, at_dom), (cods, at_cod) = dom_at, cod_at
-    source, target = transform.source.depth, transform.target.depth
-    s_dom, s_cod, t_dom, t_cod = doms[source], cods[source], doms[target], cods[target]
-    step_dom, step_cod = _codes(at_dom, s_dom, t_dom), _codes(at_cod, s_cod, t_cod)
+    to `cod`, stopping at the first arrow with a witness."""
+    source, target = transform.source, transform.target
+    (s_dom, t_dom), (s_cod, t_cod) = ((source.on_object(x), target.on_object(x)) for x in (dom, cod))
+    step_dom = _codes(transform.component(dom), s_dom, t_dom)
+    step_cod = _codes(transform.component(cod), s_cod, t_cod)
     witness = None
     for f in arrows:
-        lifts = [f]  # f, P(f), P(P(f)), ...
-        for p_dom, p_cod in zip(doms[1:], cods[1:]):
-            lifts.append(_lifted(lifts[-1], p_dom, p_cod))
-        lhs, rhs = (step_dom, _codes(lifts[target], t_dom, t_cod)), (_codes(lifts[source], s_dom, s_cod), step_cod)
+        lhs = (step_dom, _codes(target.on_arrow(f), t_dom, t_cod))
+        rhs = (_codes(source.on_arrow(f), s_dom, s_cod), step_cod)
         if witness := _compare(s_dom, t_cod, lhs, rhs, ()):
             break
     return LawReport(f"naturality[{transform.name}]", subject, len(s_dom) * len(arrows), witness)
@@ -494,18 +464,17 @@ def _naturality(transform: NatTransform, subject: str, dom_at: tuple, cod_at: tu
 
 def check_naturality(transform: NatTransform, f: FiniteFunction) -> LawReport:
     """Verify the naturality square of `transform` at the arrow `f`."""
-    return _naturality(transform, show(f), _at(transform, f.domain), _at(transform, f.codomain), [f])
+    return _naturality(transform, show(f), f.domain, f.codomain, [f])
 
 
-def naturality_sweep(transform: NatTransform, max_size: int) -> list[LawReport]:
-    """Check naturality against every arrow between integer carriers of each
-    size up to `max_size`, one aggregated report per ordered size pair."""
-    carriers = [make_finite_set(range(1, n + 1)) for n in range(max_size + 1)]
-    cells = [(show(space), _at(transform, space), space) for space in carriers]  # each read once
-    return [
-        _naturality(transform, f"{a}->{b}", a_at, b_at, list(enumerate_functions(dom, cod)))
-        for a, a_at, dom in cells for b, b_at, cod in cells
-    ]
+def naturality_sweep(transform: NatTransform, max_size: int) -> Iterator[LawReport]:
+    """Check naturality against every arrow between integer carriers of each size up to
+    `max_size`, yielding one report per ordered size pair as soon as it is checked."""
+    spaces = [make_finite_set(range(1, n + 1)) for n in range(max_size + 1)]
+    carriers = [(show(space), space) for space in spaces]  # each rendered once
+    for a, dom in carriers:
+        for b, cod in carriers:
+            yield _naturality(transform, f"{a}->{b}", dom, cod, list(enumerate_functions(dom, cod)))
 
 
 def check_unit_laws(

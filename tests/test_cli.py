@@ -141,7 +141,6 @@ def test_powerset_check_max_size_four_at_default_samples(run_cli):
 def test_powerset_check_max_size_four_builds_no_atom_table(run_cli, sets_built):
     # the README's claim, as a count on cold caches: the CLI path builds its 12
     # plain carriers and no powerset atom, so no member tuple and no atom fill
-    powerset._powerset_per_spelling.cache_clear()
     with sets_built() as built:
         code, _ = run_cli("powerset-check", "--max-size", "4")
     assert code == 0
@@ -150,7 +149,6 @@ def test_powerset_check_max_size_four_builds_no_atom_table(run_cli, sets_built):
 
 def test_powerset_check_default_builds_no_atom(run_cli, sets_built):
     # every check of the default command reads codes: no powerset atom is built
-    powerset._powerset_per_spelling.cache_clear()
     with sets_built() as built:
         code, _ = run_cli("powerset-check")
     assert code == 0
@@ -173,6 +171,12 @@ def test_powerset_check_default_transcript_is_pinned(run_cli):
     code, out = run_cli("powerset-check")
     assert code == 0
     assert out == load_golden("powerset_check_default.txt")
+
+
+def test_powerset_check_max_size_four_transcript_is_pinned(run_cli):
+    code, out = run_cli("powerset-check", "--max-size", "4")
+    assert code == 0
+    assert out == load_golden("powerset_check_max4.txt")
 
 
 def test_powerset_check_seeded_transcript_is_pinned(run_cli):
@@ -206,6 +210,24 @@ def test_powerset_check_streams_lines_before_a_crash(monkeypatch, capsys, tmp_pa
     out = capsys.readouterr().out
     assert out.startswith(size0)
     assert path.read_text(encoding="utf-8") == out
+
+
+def test_powerset_check_streams_naturality_lines_before_a_crash(monkeypatch, capsys):
+    # a sweep yields each cell's line once that cell is checked, so mu raising at
+    # {1,2} leaves every line before the first cell that reads it
+    def crash_at_size_two(space):
+        if len(space) == 2:
+            raise RuntimeError("crash at size 2")
+        return powerset.mu_component(space)
+
+    crashing = powerset.NatTransform("mu", powerset.POWERSET_SQUARED, powerset.POWERSET, crash_at_size_two)
+    monkeypatch.setattr(cli, "MU", crashing)
+    with pytest.raises(RuntimeError):
+        cli_main(["powerset-check", "--max-size", "2", "--seed", "7", "--samples", "300"])
+    golden = load_golden("powerset_check_max2_seed7_samples300.txt")
+    first_cell_at_two = golden.index("PASS naturality[mu] @ {}->{1,2} ")
+    assert capsys.readouterr().out == golden[:first_cell_at_two]
+    assert golden[:first_cell_at_two].endswith("PASS naturality[mu] @ {}->{1} checked=2\n")
 
 
 # ---------------------------------------------------------------------------

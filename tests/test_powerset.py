@@ -222,7 +222,6 @@ def test_mask_of_reads_its_own_atoms_without_their_members(sets_built):
     # mu at {1,2,3,4} copied from its own pairs with one image swapped for another
     # of its images, as the benchmark plants a defect: a sampled check positions
     # every image it reads by its bitmask, so it builds no image's members
-    powerset._powerset_per_spelling.cache_clear()
     space = make_finite_set(range(1, 5))
     pairs = list(mu_component(space).pairs)
     index = next(i for i, (family, _) in enumerate(pairs) if len(family) >= 2)
@@ -237,12 +236,14 @@ def test_mask_of_reads_its_own_atoms_without_their_members(sets_built):
 
 
 def test_rendering_does_not_depend_on_cache_history():
-    # True == 1, so {False,True} == {0,1}; each spelling must render as itself
-    # in either order, whichever of the two the powerset caches saw first
+    # True == 1, so {False,True} == {0,1} and {{False},{True}} == {{0},{1}}; each
+    # spelling must render as itself in either order, whichever was checked first
     bools = make_finite_set([True, False]), ("{}", "{False}", "{False,True}", "{True}")
     ints = make_finite_set(range(2)), ("{}", "{0}", "{0,1}", "{1}")
-    powerset._powerset_per_spelling.cache_clear()
-    for space, subsets in (bools, ints, bools, ints):
+    singletons = lambda *atoms: make_finite_set(make_finite_set([x]) for x in atoms)
+    nested_bools = singletons(True, False), ("{}", "{{False}}", "{{False},{True}}", "{{True}}")
+    nested_ints = singletons(0, 1), ("{}", "{{0}}", "{{0},{1}}", "{{1}}")
+    for space, subsets in (bools, ints, bools, nested_ints, nested_bools, nested_ints):
         power = "{" + ",".join(subsets) + "}"
         assert show(powerset_object(space)) == power
         assert show(mu_component(space).codomain) == power
@@ -391,7 +392,6 @@ def test_index_backed_arrows_keep_one_pairs_tuple():
     # fresh mu (on a cleared cache) and P(f): reading pairs or rendering builds no table
     for n in range(4):
         space = make_finite_set(range(1, n + 1))
-        powerset._powerset_per_spelling.cache_clear()
         arrows = [mu_component(space), eta_component(space)]
         arrows += map(powerset_arrow, enumerate_functions(space, space))
         for arrow in arrows:
@@ -553,7 +553,6 @@ def test_associativity_exhaustive_mode_refuses_size_three():
 def test_an_over_cap_powerset_is_refused_before_its_argument_is_built():
     # exhaustive associativity at {1,2,3,4} would need P of the 65,536 families:
     # the cap refuses it from the families' size, without rendering or hashing them
-    powerset._powerset_per_spelling.cache_clear()
     space = make_finite_set(range(1, 5))
     families = powerset_object(powerset_object(space))
     with pytest.raises(PowersetTooLargeError):
@@ -698,12 +697,12 @@ def test_a_failing_exhaustive_witness_keeps_no_code_table_alive():
 def test_a_failing_naturality_sweep_stops_lifting_at_its_witness(monkeypatch):
     # the two failing size pairs of a sweep with mu corrupted at {1,2} lift no
     # arrow past their first witness, so the sweep lifts fewer than the honest one
-    lifted, lift = [], powerset._lifted  # the sweep lifts each arrow on its cell's objects
-    monkeypatch.setattr(powerset, "_lifted", lambda f, *powersets: lifted.append(f) or lift(f, *powersets))
+    lifted, lift = [], powerset.powerset_arrow  # the sweep lifts each arrow through P
+    monkeypatch.setattr(powerset, "powerset_arrow", lambda f: lifted.append(f) or lift(f))
     counts = []
     for transform in (MU, corrupt_mu_at(make_finite_set([1, 2]))):
         lifted.clear()
-        naturality_sweep(transform, 2)
+        list(naturality_sweep(transform, 2))
         counts.append(len(lifted))
     honest, failing = counts
     assert failing < honest
@@ -805,7 +804,6 @@ def test_exhaustive_associativity_builds_only_its_witness_atom(sets_built):
     # themselves are not among them.
     space = make_finite_set([1, 2])
     for mu, passes in ((MU, True), (corrupt_mu_at(space), False)):
-        powerset._powerset_per_spelling.cache_clear()
         with sets_built() as built:
             report = check_associativity(space, mode="exhaustive", mu=mu)
             assert report.passed == passes and (passes or report.counterexample.recheck())
@@ -815,8 +813,8 @@ def test_exhaustive_associativity_builds_only_its_witness_atom(sets_built):
         assert [e for e in built.sets if e and all(g in families for g in e) and FiniteSet(e) not in families] == []
         # the atoms of P(P(P(space))): the witness alone, whose members the recheck reads
         witness = [] if passes else [report.counterexample.value]
-        assert [atom for atom in built.atoms if atom.power is triples] == witness, report.to_line()
-        assert [atom for atom in built.members if atom.power is triples] == witness
+        assert [atom for atom in built.atoms if atom.within is triples] == witness, report.to_line()
+        assert [atom for atom in built.members if atom.within is triples] == witness
 
 
 def order_is_built(power) -> bool:
@@ -846,7 +844,6 @@ def planted_mus(space):
 def test_no_check_at_size_two_builds_the_order_of_p_cubed():
     # the 65,536 codes of P(P(P({1,2}))) are compared in code order, and a witness
     # is found by rank, so no check, recheck or replay builds their canonical order
-    powerset._powerset_per_spelling.cache_clear()
     space = make_finite_set([1, 2])
     triples = powerset_object(powerset_object(powerset_object(space)))
     planted = list(planted_mus(space))
@@ -855,7 +852,7 @@ def test_no_check_at_size_two_builds_the_order_of_p_cubed():
         "lawful associativity": lambda: [check_associativity(space, mode="exhaustive")],
         "planted mu": lambda: [check_associativity(space, mode="exhaustive", mu=mu) for mu in planted],
         "unit laws": lambda: [check_unit_laws(space)],
-        "naturality sweep": lambda: naturality_sweep(MU, 2),
+        "naturality sweep": lambda: list(naturality_sweep(MU, 2)),
     }
     for name, check in checks.items():
         reports = check()
@@ -870,7 +867,6 @@ def test_a_cold_lawful_exhaustive_associativity_peaks_under_half_a_megabyte():
     # each side is a 64 KB byte table, composed by `bytes.translate`, so the peak
     # is 0.28 MB; as lists of 65,536 codes, 2.2 MB; with P(P(P({1,2})))'s canonical
     # order built as well, 3.9 MB
-    powerset._powerset_per_spelling.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -882,21 +878,38 @@ def test_a_cold_lawful_exhaustive_associativity_peaks_under_half_a_megabyte():
     assert peak < 500_000, f"{peak} bytes at peak"
 
 
+def test_a_powerset_is_freed_with_its_carrier():
+    # the carrier holds P(X), and P(X) holds mu with its 64 KB byte index: once the
+    # carrier is dropped, nothing else keeps them
+    def mu_index_length() -> int:
+        return len(mu_component(make_finite_set(range(1, 5))).index)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert mu_index_length() == 65_536
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 32_000, f"{held} bytes still held"
+
+
 def test_mu_pairs_build_their_atoms_once(sets_built):
     # a count of atoms built, on cold caches, so the guard needs no timing
     space = make_finite_set([1, 2, 3, 4])
-    powerset._powerset_per_spelling.cache_clear()
     with sets_built() as built:
         first = mu_component(space).pairs
     # the atoms of P²(X), and P(X)'s once, as images; P²(X) is held by P(X), so
     # nothing is rendered to find it and no atom builds its members
     assert built.sets == [] and len(built.atoms) == 65_536 + 16 and built.members == []
-    # an equal space built elsewhere shares the cached P(X), and so its mu and eta,
-    # whose domain is the carrier P(X) was built from
+    # the carrier holds P(X), and P(X) its mu and eta, so each is shared from then on;
+    # eta's domain is the carrier itself. An equal space built apart holds its own P.
     equal = make_finite_set(range(1, 5))
     with sets_built() as built:
-        assert equal is not space and mu_component(equal).pairs is first
-        assert eta_component(equal) is eta_component(space) and eta_component(equal).domain is space
+        assert mu_component(space).pairs is first
+        assert eta_component(space) is eta_component(space) and eta_component(space).domain is space
+        assert powerset_object(equal) is not powerset_object(space)
     assert (built.sets, built.atoms, built.members) == ([], [], [])
 
 
@@ -931,7 +944,6 @@ def test_atom_table_fills_pause_the_collector_and_restore_it(monkeypatch, enable
             collections.append(info["generation"])
 
     def cold_pairs():
-        powerset._powerset_per_spelling.cache_clear()
         return mu_component(make_finite_set(range(1, 5))).pairs
 
     construct, calls = powerset._Subset.__init__, []
@@ -959,13 +971,11 @@ def test_atom_table_fills_pause_the_collector_and_restore_it(monkeypatch, enable
         assert len(calls) == 1_000 and gc.isenabled() == enabled
     finally:
         gc.enable() if was_on else gc.disable()
-        powerset._powerset_per_spelling.cache_clear()
 
 
 def test_a_cold_mu_pairs_read_builds_no_family_members():
     # the 65,536 atoms of P(P({1,2,3,4})) are bitmasks until read: a cold read of
     # mu's pairs peaks under 14 MB (19.0 MB when each atom was built with its member tuple)
-    powerset._powerset_per_spelling.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -979,9 +989,9 @@ def test_a_cold_mu_pairs_read_builds_no_family_members():
 
 def test_powersets_their_atoms_and_mu_copy_and_pickle_without_filling():
     # each copy rebuilds from defining fields: a copy that read every slot would
-    # fill P(P(X))'s union, which is mu at P(X) and needs P of its 65,536 atoms;
-    # P(P(X)) rebuilds from P(X), and P(X) from X, so each is the cached object itself
-    powerset._powerset_per_spelling.cache_clear()
+    # fill P(P(X))'s union, which is mu at P(X) and needs P of its 65,536 atoms.
+    # P(P(X)) rebuilds from P(X), and P(X) from X: a shallow copy is the carrier's
+    # own P, a deep copy or a pickle an equal P of a new carrier, still unfilled
     power = powerset_object(make_finite_set(range(1, 5)))
     families = powerset_object(power)
     objects = [power, families, families.atom(0b1000_0000_0110_0001), mu_component(make_finite_set([1, 2]))]
@@ -989,13 +999,17 @@ def test_powersets_their_atoms_and_mu_copy_and_pickle_without_filling():
               for obj in objects]
     for name in ("elements", "mask", "union", "unit", "power"):
         field = getattr(powerset._PowerSet, name)
-        with pytest.raises(AttributeError):
-            field.__get__(families)  # still unset
-    assert all(twin is obj for obj, twins in zip(objects[:2], copies) for twin in twins)
+        for unfilled in (families, *copies[1]):
+            with pytest.raises(AttributeError):
+                field.__get__(unfilled)
+    assert all(twins[0] is obj and twins[1] is not obj for obj, twins in zip(objects[:2], copies))
     for obj, twins in zip(objects, copies):
         for twin in twins:
+            if obj is families:  # comparing, hashing or rendering 65,536 atoms takes a second
+                assert len(twin) == len(obj) and twin.carrier == obj.carrier
+                continue
             assert twin == obj and obj == twin and hash(twin) == hash(obj)
-            assert obj is families or show(twin) == show(obj)  # rendering 65,536 atoms takes a second
+            assert show(twin) == show(obj)
 
 
 def test_naturality_sweeps_build_no_lifted_tables(monkeypatch):
@@ -1007,7 +1021,6 @@ def test_naturality_sweeps_build_no_lifted_tables(monkeypatch):
         requested.append(name)
         return lazy_field(self, name)
 
-    powerset._powerset_per_spelling.cache_clear()
     monkeypatch.setattr(powerset._Indexed, "__getattr__", recording)
     for transform in (ETA, MU):
         for report in naturality_sweep(transform, 2):
@@ -1147,7 +1160,6 @@ def test_a_sampled_check_of_a_hand_built_mu_hashes_and_indexes_nothing():
     # mu at {1,2,3,4} copied from its pairs with one entry corrupted, as the
     # benchmark plants a defect: the check reads the copy's entries by
     # position, so it builds no dict of them and hashes none of the 65,536 families
-    powerset._powerset_per_spelling.cache_clear()
     space = make_finite_set(range(1, 5))
     pairs = list(mu_component(space).pairs)
     index = next(i for i, (family, _) in enumerate(pairs) if len(family) >= 2)
@@ -1343,7 +1355,6 @@ def test_a_decided_sampled_pass_draws_nothing(monkeypatch):
         raise AssertionError("a generator was seeded")
 
     monkeypatch.setattr(powerset.random, "Random", refuse)
-    powerset._powerset_per_spelling.cache_clear()
     space = make_finite_set(range(1, 5))
     report = check_associativity(space, samples=10**6)
     assert report.to_line() == "PASS monad-associativity[sampled,seed=42,n=1000000] @ {1,2,3,4} checked=1000000"

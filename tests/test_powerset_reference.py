@@ -240,10 +240,10 @@ def test_every_single_point_mutant_gives_the_reference_naturality_lines():
     for wrong in mus:
         table = {family: power[wrong[i]] if i in wrong else union(family) for i, family in enumerate(families)}
         mu = lambda a, fam: table[fam] if a == SPACE else union(fam)
-        assert checked_lines(naturality_sweep(mutant(MU, wrong), 2)) == naturality_lines(
+        assert checked_lines(list(naturality_sweep(mutant(MU, wrong), 2))) == naturality_lines(
             "mu-mutant", families_of, mu_squares(mu)), wrong
     for wrong in etas:
         table = {x: power[wrong[i]] if i in wrong else singleton(x) for i, x in enumerate(sorted(SPACE))}
         eta = lambda a, x: table[x] if a == SPACE else singleton(x)
-        assert checked_lines(naturality_sweep(mutant(ETA, wrong), 2)) == naturality_lines(
+        assert checked_lines(list(naturality_sweep(mutant(ETA, wrong), 2))) == naturality_lines(
             "eta-mutant", sorted, eta_squares(eta)), wrong
