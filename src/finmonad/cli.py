@@ -190,54 +190,58 @@ def _powerset_reports(args) -> Iterator[LawReport]:
     yield from naturality_sweep(MU, min(args.max_size, 2))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The `finmonad` parser, with a subparser for `command` only; with all of them when
+    `command` names none, so help and usage errors read as they do for the whole CLI."""
     parser = argparse.ArgumentParser(
         prog="finmonad",
         description="Worked container-monad demos and mechanical law checking.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    add = lambda name, help: command in (None, name) and sub.add_parser(name, help=help)
 
-    p = sub.add_parser("pythagoras", help="right-triangle triples via nested list binds")
-    p.add_argument("--n", type=int, required=True, help="upper bound for all three sides")
-    p.add_argument("--strict", action="store_true", help="only x < y < z")
-    p.set_defaults(func=_printing(lambda args: [show(pythagorean_triples(args.n, strict=args.strict))]))
+    if p := add("pythagoras", "right-triangle triples via nested list binds"):
+        p.add_argument("--n", type=int, required=True, help="upper bound for all three sides")
+        p.add_argument("--strict", action="store_true", help="only x < y < z")
+        p.set_defaults(func=_printing(lambda args: [show(pythagorean_triples(args.n, strict=args.strict))]))
 
-    p = sub.add_parser("list-demo", help="the list monad walkthrough")
-    p.set_defaults(func=_printing(lambda args: list_demo_lines()))
+    if p := add("list-demo", "the list monad walkthrough"):
+        p.set_defaults(func=_printing(lambda args: list_demo_lines()))
 
-    p = sub.add_parser("maybe-demo", help="guarded numeric pipelines over options")
-    p.set_defaults(func=_printing(lambda args: maybe_demo_lines()))
+    if p := add("maybe-demo", "guarded numeric pipelines over options"):
+        p.set_defaults(func=_printing(lambda args: maybe_demo_lines()))
 
-    p = sub.add_parser("phonebook", help="option-valued lookup in the sample phonebook")
-    p.add_argument("--name", required=True)
-    p.set_defaults(func=_printing(lambda args: [show(lookup(args.name, PHONEBOOK))]))
+    if p := add("phonebook", "option-valued lookup in the sample phonebook"):
+        p.add_argument("--name", required=True)
+        p.set_defaults(func=_printing(lambda args: [show(lookup(args.name, PHONEBOOK))]))
 
-    p = sub.add_parser("functor-demo", help="wrapper and four-shape functor transcripts")
-    p.add_argument("--banner", action="store_true", help="wrap each transcript in begin/end banners")
-    p.set_defaults(func=_printing(lambda args: functor_demo_lines(banner=args.banner)))
+    if p := add("functor-demo", "wrapper and four-shape functor transcripts"):
+        p.add_argument("--banner", action="store_true", help="wrap each transcript in begin/end banners")
+        p.set_defaults(func=_printing(lambda args: functor_demo_lines(banner=args.banner)))
 
-    p = sub.add_parser("laws", help="run the functor/monad law suites")
-    p.add_argument("--instance", choices=[*INSTANCES, "all"], default="all")
-    p.add_argument("--expect-fail", action="store_true",
-                   help="exit 0 only when exactly the known four-shape identity failure occurs")
-    p.add_argument("--report", metavar="PATH", help="also save the report lines to a file")
-    expected = lambda args: [_KNOWN_SHAPE_FAILURE] if args.expect_fail else []
-    p.set_defaults(func=_checking(_law_reports, expected))
+    if p := add("laws", "run the functor/monad law suites"):
+        p.add_argument("--instance", choices=[*INSTANCES, "all"], default="all")
+        p.add_argument("--expect-fail", action="store_true",
+                       help="exit 0 only when exactly the known four-shape identity failure occurs")
+        p.add_argument("--report", metavar="PATH", help="also save the report lines to a file")
+        expected = lambda args: [_KNOWN_SHAPE_FAILURE] if args.expect_fail else []
+        p.set_defaults(func=_checking(_law_reports, expected))
 
-    p = sub.add_parser("powerset-check", help="powerset monad coherence and naturality reports")
-    # the unit laws at size K build P(P(X)), whose carrier P(X) has 2^K elements
-    p.add_argument("--max-size", type=int, default=3, choices=range(POWERSET_CAP.bit_length()),
-                   metavar="K", help="largest carrier size to check")
-    p.add_argument("--seed", type=int, default=42, help="seed for sampled associativity")
-    p.add_argument("--samples", type=int, default=10_000, help="sample count past the exhaustive sizes")
-    p.add_argument("--report", metavar="PATH", help="also save the report lines to a file")
-    p.set_defaults(func=_checking(_powerset_reports, lambda args: []))
+    if p := add("powerset-check", "powerset monad coherence and naturality reports"):
+        # the unit laws at size K build P(P(X)), whose carrier P(X) has 2^K elements
+        p.add_argument("--max-size", type=int, default=3, choices=range(POWERSET_CAP.bit_length()),
+                       metavar="K", help="largest carrier size to check")
+        p.add_argument("--seed", type=int, default=42, help="seed for sampled associativity")
+        p.add_argument("--samples", type=int, default=10_000, help="sample count past the exhaustive sizes")
+        p.add_argument("--report", metavar="PATH", help="also save the report lines to a file")
+        p.set_defaults(func=_checking(_powerset_reports, lambda args: []))
 
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(*argv[:1])
     args = parser.parse_args(argv)
     if args.command == "pythagoras" and args.n < 1:
         parser.error("--n must be at least 1")

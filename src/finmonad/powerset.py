@@ -455,8 +455,11 @@ def _naturality(transform: NatTransform, subject: str, dom: FiniteSet, cod: Fini
     step_cod = _codes(transform.component(cod), s_cod, t_cod)
     witness = None
     for f in arrows:
-        lhs = (step_dom, _codes(target.on_arrow(f), t_dom, t_cod))
-        rhs = (_codes(source.on_arrow(f), s_dom, s_cod), step_cod)
+        lifts = [f]  # f, P(f), P(P(f)), ...: each built once, for both sides
+        for _ in range(max(source.depth, target.depth)):
+            lifts.append(powerset_arrow(lifts[-1]))
+        lhs = (step_dom, _codes(lifts[target.depth], t_dom, t_cod))
+        rhs = (_codes(lifts[source.depth], s_dom, s_cod), step_cod)
         if witness := _compare(s_dom, t_cod, lhs, rhs, ()):
             break
     return LawReport(f"naturality[{transform.name}]", subject, len(s_dom) * len(arrows), witness)

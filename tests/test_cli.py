@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import errno
 import io
 import os
@@ -231,37 +232,113 @@ def test_powerset_check_streams_naturality_lines_before_a_crash(monkeypatch, cap
 
 
 # ---------------------------------------------------------------------------
+# one command, one parser
+# ---------------------------------------------------------------------------
+
+COMMANDS = ["pythagoras", "list-demo", "maybe-demo", "phonebook", "functor-demo", "laws", "powerset-check"]
+
+
+@pytest.fixture
+def printed(capsys, monkeypatch):
+    """`printed(*argv, full=False)` runs `main(argv)` to its exit and returns (code, stdout, stderr);
+    with `full`, `main` parses with `build_parser()`, which has every command."""
+
+    def run(*argv: str, full: bool = False) -> tuple[int, str, str]:
+        with monkeypatch.context() as patch:
+            if full:
+                whole = cli.build_parser
+                patch.setattr(cli, "build_parser", lambda command=None: whole())
+            with pytest.raises(SystemExit) as exc:
+                cli_main(list(argv))
+        return (exc.value.code, *capsys.readouterr())
+
+    return run
+
+
+def subcommands(parser: argparse.ArgumentParser) -> list[str]:
+    return list(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built, construct = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli_main(["powerset-check", "--max-size", "0"]) == 0
+    assert built == ["finmonad", "finmonad powerset-check"]
+
+
+def test_a_parser_without_a_known_command_has_every_command():
+    # the README synopsis test and every help or usage error read the whole parser
+    for command in (None, "-h", "frobnicate"):
+        assert subcommands(cli.build_parser(command)) == COMMANDS
+    assert [subcommands(cli.build_parser(command)) for command in COMMANDS] == [[c] for c in COMMANDS]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_commands_help_is_the_whole_parsers(printed, command):
+    code, out, err = printed(command, "-h")
+    assert (code, err) == (0, "") and out.startswith(f"usage: finmonad {command} [-h]")
+    assert printed(command, "-h", full=True) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "laws"], ["powerset-check", "--seed"], ["list-demo", "extra"], ["laws", "--instance", "bogus"],
+])
+def test_help_and_usage_errors_are_the_whole_parsers(printed, argv):
+    # the usage-error tests below check the rest
+    assert printed(*argv) == printed(*argv, full=True)
+
+
+def test_powerset_check_help_is_pinned(printed, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert printed("powerset-check", "--help") == (0, load_golden("powerset_check_help.txt"), "")
+
+
+# ---------------------------------------------------------------------------
 # usage errors
 # ---------------------------------------------------------------------------
 
-def test_unknown_subcommand_is_usage_error(run_cli):
+def test_unknown_subcommand_is_usage_error(run_cli, printed):
     code, _ = run_cli("frobnicate")
     assert code == 2
+    assert printed("frobnicate")[2] == printed("frobnicate", full=True)[2]
 
 
-def test_unknown_flag_is_usage_error(run_cli):
+def test_unknown_flag_is_usage_error(run_cli, printed):
     code, _ = run_cli("pythagoras", "--n", "9", "--fast")
     assert code == 2
+    argv = ("pythagoras", "--n", "9", "--fast")
+    assert printed(*argv)[2] == printed(*argv, full=True)[2]
 
 
-def test_missing_required_flag_is_usage_error(run_cli):
+def test_missing_required_flag_is_usage_error(run_cli, printed):
     code, _ = run_cli("pythagoras")
     assert code == 2
+    assert printed("pythagoras")[2] == printed("pythagoras", full=True)[2]
 
 
-def test_out_of_range_n_is_usage_error(run_cli):
+def test_out_of_range_n_is_usage_error(run_cli, printed):
     code, _ = run_cli("pythagoras", "--n", "0")
     assert code == 2
+    assert printed("pythagoras", "--n", "0")[2] == printed("pythagoras", "--n", "0", full=True)[2]
 
 
-def test_max_size_past_the_powerset_cap_is_usage_error(run_cli):
+def test_max_size_past_the_powerset_cap_is_usage_error(run_cli, printed):
     # at size 5 the unit laws would need P(P(X)) over a 32-element carrier
     assert run_cli("powerset-check", "--max-size", "5", "--samples", "1") == (2, "")
     assert run_cli("powerset-check", "--max-size", "-1") == (2, "")
+    for argv in (("powerset-check", "--max-size", "5", "--samples", "1"), ("powerset-check", "--max-size", "-1")):
+        assert printed(*argv)[2] == printed(*argv, full=True)[2]
 
 
-def test_samples_below_one_is_usage_error(run_cli):
+def test_samples_below_one_is_usage_error(run_cli, printed):
     assert run_cli("powerset-check", "--max-size", "0", "--samples", "0") == (2, "")
+    argv = ("powerset-check", "--max-size", "0", "--samples", "0")
+    assert printed(*argv)[2] == printed(*argv, full=True)[2]
 
 
 def test_unwritable_report_path_is_usage_error(capsys, tmp_path):

@@ -708,6 +708,19 @@ def test_a_failing_naturality_sweep_stops_lifting_at_its_witness(monkeypatch):
     assert failing < honest
 
 
+def test_a_sweep_lifts_each_arrow_once_per_level(monkeypatch):
+    # mu's square needs P(f) and P(P(f)): the second is lifted from the first, so
+    # each of the 11 arrows between sizes 0..2 costs two lifts; eta's costs one
+    lifted, lift = [], powerset.powerset_arrow
+    monkeypatch.setattr(powerset, "powerset_arrow", lambda f: lifted.append(f) or lift(f))
+    counts = []
+    for transform, max_size in ((MU, 2), (ETA, 3)):
+        lifted.clear()
+        list(naturality_sweep(transform, max_size))
+        counts.append(len(lifted))
+    assert counts == [22, 60]
+
+
 def test_components_on_separately_built_powersets_give_the_same_lines():
     # a hand-built mu whose endpoints equal P(P(X)) and P(X) but are plain sets
     # built apart from the cached powersets: same lines as on the cached ones
